@@ -44,18 +44,10 @@ impl fmt::Display for IoError {
 
 impl std::error::Error for IoError {}
 
-/// Strip full-line comments (`#` or `%` as the first non-whitespace character).
-fn strip_comment_lines(text: &str) -> String {
-    text.lines()
-        .filter(|line| {
-            let trimmed = line.trim_start();
-            !(trimmed.starts_with('#') || trimmed.starts_with('%'))
-        })
-        .collect::<Vec<_>>()
-        .join("\n")
-}
-
 /// Load a Sequence Datalog program from a `.sdl` file.
+///
+/// The text goes to [`parse_program`] as it is, so the byte offsets of syntax
+/// errors are offsets into the file.
 ///
 /// # Errors
 /// File-system errors and parse errors, each tagged with the path.
@@ -65,7 +57,7 @@ pub fn load_program(path: impl AsRef<FsPath>) -> Result<Program, IoError> {
         path: path.display().to_string(),
         source,
     })?;
-    parse_program(&strip_comment_lines(&text)).map_err(|source| IoError::Program {
+    parse_program(&text).map_err(|source| IoError::Program {
         path: path.display().to_string(),
         source,
     })
@@ -121,6 +113,21 @@ mod tests {
         .unwrap();
         let program = load_program(&path).unwrap();
         assert_eq!(program.rule_count(), 1);
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn syntax_error_offsets_count_comment_lines() {
+        let path = temp_file("offset.sdl");
+        std::fs::write(&path, "% a comment line here\nS($x) <- R($x.\n").unwrap();
+        match load_program(&path) {
+            // The `.` where `)` is expected: byte 13 of the rule, 35 of the file.
+            Err(IoError::Program {
+                source: SyntaxError::Parse { offset, .. },
+                ..
+            }) => assert_eq!(offset, 35),
+            other => panic!("expected a parse error, got {other:?}"),
+        }
         std::fs::remove_file(&path).ok();
     }
 

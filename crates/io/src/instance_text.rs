@@ -1,7 +1,7 @@
 //! The textual instance format: ground facts, one per line.
 
 use seqdl_core::{Fact, Instance, Path, RelName};
-use seqdl_syntax::parse_rule;
+use seqdl_syntax::{is_identifier, FactReader};
 use std::fmt;
 
 /// Errors raised while parsing an instance file.
@@ -56,15 +56,17 @@ fn render_fact(fact: &Fact) -> String {
 
 /// Parse the textual instance format produced by [`write_instance`].
 ///
-/// Lines whose first non-whitespace character is `#` or `%` are comments; blank
-/// lines are ignored.  `@relation R/2.` declares a relation.  Every other line must
-/// be a single ground fact terminated by `.`.
+/// Each line is read on its own (the grammar is in the crate documentation):
+/// blank lines and lines whose first non-whitespace character is `#` or `%`
+/// are skipped, `@relation R/2.` declares a relation, and every other line
+/// must be one ground fact, read by a [`seqdl_syntax::FactReader`].
 ///
 /// # Errors
 /// Reports the first offending line: syntax errors, non-ground facts, facts with a
-/// body, or arity clashes.
+/// body, malformed declarations, or arity clashes.
 pub fn parse_instance(text: &str) -> Result<Instance, InstanceParseError> {
     let mut instance = Instance::new();
+    let mut facts = FactReader::new();
     for (index, raw_line) in text.lines().enumerate() {
         let line_number = index + 1;
         let line = raw_line.trim();
@@ -77,12 +79,12 @@ pub fn parse_instance(text: &str) -> Result<Instance, InstanceParseError> {
                     line: line_number,
                     message,
                 })?;
-            instance.declare_relation(RelName::new(&name), arity);
+            instance.declare_relation(name, arity);
             continue;
         }
-        let fact = parse_fact_line(line).map_err(|message| InstanceParseError {
+        let fact = facts.read(line).map_err(|e| InstanceParseError {
             line: line_number,
-            message,
+            message: e.to_string(),
         })?;
         instance.insert_fact(fact).map_err(|e| InstanceParseError {
             line: line_number,
@@ -92,7 +94,13 @@ pub fn parse_instance(text: &str) -> Result<Instance, InstanceParseError> {
     Ok(instance)
 }
 
-fn parse_declaration(rest: &str) -> Result<(String, usize), String> {
+/// The name and arity of a declaration, given the text after `@relation`:
+/// whitespace, an identifier (the rule for relation names in facts), `/`, a
+/// decimal arity, and optionally trailing dots.
+fn parse_declaration(rest: &str) -> Result<(RelName, usize), String> {
+    if !rest.starts_with(char::is_whitespace) {
+        return Err("expected whitespace after `@relation`".to_string());
+    }
     let rest = rest.trim().trim_end_matches('.');
     let (name, arity) = rest
         .split_once('/')
@@ -102,35 +110,21 @@ fn parse_declaration(rest: &str) -> Result<(String, usize), String> {
         .parse()
         .map_err(|_| format!("invalid arity `{}`", arity.trim()))?;
     let name = name.trim();
-    if name.is_empty() {
-        return Err("empty relation name".to_string());
+    if !is_identifier(name) {
+        return Err(format!(
+            "invalid relation name `{name}`: expected letters, digits and `_`, other than `eps`"
+        ));
     }
-    Ok((name.to_string(), arity))
-}
-
-fn parse_fact_line(line: &str) -> Result<Fact, String> {
-    let rule = parse_rule(line).map_err(|e| e.to_string())?;
-    if !rule.body.is_empty() {
-        return Err("facts must not have a body".to_string());
-    }
-    let mut tuple = Vec::with_capacity(rule.head.args.len());
-    for arg in &rule.head.args {
-        match arg.as_path() {
-            Some(path) => tuple.push(path),
-            None => {
-                return Err(format!(
-                    "component `{arg}` is not ground; instance files may only contain ground facts"
-                ))
-            }
-        }
-    }
-    Ok(Fact::new(rule.head.relation, tuple))
+    Ok((RelName::new(name), arity))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use proptest::test_runner::TestRng;
     use seqdl_core::{atom, path_of, rel, Value};
+    use seqdl_syntax::{parse_ground_fact, parse_rule};
 
     fn roundtrip(instance: &Instance) -> Instance {
         parse_instance(&write_instance(instance)).expect("round trip parses")
@@ -235,6 +229,24 @@ mod tests {
     }
 
     #[test]
+    fn declarations_need_an_identifier_after_whitespace() {
+        for bad in [
+            "@relationship R/1.",
+            "@relation a·b/2.",
+            "@relation ship R/1.",
+            "@relation eps/1.",
+            "@relation 'R'/1.",
+            "@relation /1.",
+        ] {
+            let err = parse_instance(&format!("R(a).\n{bad}\n")).unwrap_err();
+            assert_eq!(err.line, 2, "`{bad}` is rejected on its own line");
+        }
+        let instance = parse_instance("@relation\tR_1 / 2.\n@relation Flag/0\n").unwrap();
+        assert_eq!(instance.relation(rel("R_1")).unwrap().arity(), 2);
+        assert_eq!(instance.relation(rel("Flag")).unwrap().arity(), 0);
+    }
+
+    #[test]
     fn output_is_sorted_and_deterministic() {
         let mut a = Instance::new();
         a.declare_relation(rel("B"), 1);
@@ -248,5 +260,192 @@ mod tests {
         let first = write_instance(&a);
         let second = write_instance(&parse_instance(&first).unwrap());
         assert_eq!(first, second, "writing is idempotent after one round trip");
+    }
+
+    // -----------------------------------------------------------------------
+    // Parity with the rule parser
+    // -----------------------------------------------------------------------
+
+    /// The fact reader this module used before `parse_ground_fact`: the rule
+    /// parser, then `PathExpr::as_path` on each head argument.
+    fn oracle_fact_line(line: &str) -> Result<Fact, String> {
+        let rule = parse_rule(line).map_err(|e| e.to_string())?;
+        if !rule.body.is_empty() {
+            return Err("facts must not have a body".to_string());
+        }
+        let mut tuple = Vec::with_capacity(rule.head.args.len());
+        for arg in &rule.head.args {
+            match arg.as_path() {
+                Some(path) => tuple.push(path),
+                None => return Err(format!("component `{arg}` is not ground")),
+            }
+        }
+        Ok(Fact::new(rule.head.relation, tuple))
+    }
+
+    /// [`parse_instance`] with [`oracle_fact_line`] reading the fact lines.
+    fn oracle_parse_instance(text: &str) -> Result<Instance, InstanceParseError> {
+        let mut instance = Instance::new();
+        for (index, raw_line) in text.lines().enumerate() {
+            let error = |message| InstanceParseError {
+                line: index + 1,
+                message,
+            };
+            let line = raw_line.trim();
+            if line.is_empty() || line.starts_with('#') || line.starts_with('%') {
+                continue;
+            }
+            if let Some(declaration) = line.strip_prefix("@relation") {
+                let (name, arity) = parse_declaration(declaration).map_err(error)?;
+                instance.declare_relation(name, arity);
+                continue;
+            }
+            let fact = oracle_fact_line(line).map_err(error)?;
+            instance
+                .insert_fact(fact)
+                .map_err(|e| error(e.to_string()))?;
+        }
+        Ok(instance)
+    }
+
+    const RELATIONS: [&str; 5] = ["R", "S", "Flag", "D", "T_2"];
+    const ATOMS: [&str; 14] = [
+        "a",
+        "b",
+        "q0",
+        "x_1",
+        "eps",
+        "ε",
+        "has space",
+        "it's",
+        "",
+        "Ünï",
+        "·",
+        "a.b",
+        "end\\",
+        "%",
+    ];
+    /// Characters inserted by the mutations: every token's first byte, and
+    /// more.
+    const INSERTS: [char; 24] = [
+        '(', ')', '.', ',', '·', '*', '<', '>', '⟨', '⟩', '\'', '\\', '$', '@', ' ', 'a', '-', '%',
+        'ε', '=', '!', '#', '/', '←',
+    ];
+
+    fn pick<T: Copy>(rng: &mut TestRng, items: &[T]) -> T {
+        items[rng.below(items.len())]
+    }
+
+    fn random_path(rng: &mut TestRng, depth: usize) -> Path {
+        let len = rng.below(4);
+        Path::from_values((0..len).map(|_| {
+            if depth > 0 && rng.below(4) == 0 {
+                Value::packed(random_path(rng, depth - 1))
+            } else {
+                Value::atom(pick(rng, &ATOMS))
+            }
+        }))
+    }
+
+    fn random_instance(rng: &mut TestRng) -> Instance {
+        let mut instance = Instance::new();
+        for name in RELATIONS.iter().take(1 + rng.below(RELATIONS.len())) {
+            let arity = rng.below(4);
+            instance.declare_relation(rel(name), arity);
+            for _ in 0..rng.below(5) {
+                let tuple = (0..arity).map(|_| random_path(rng, 2)).collect();
+                instance.insert_fact(Fact::new(rel(name), tuple)).unwrap();
+            }
+        }
+        instance
+    }
+
+    /// Rewrite a fact line of `write_instance` output into another accepted
+    /// spelling: `*` or `.` for `·`, `ε` for `eps`, `Flag().` for `Flag.`,
+    /// an empty body, a trailing comment.
+    fn restyle(line: &str, rng: &mut TestRng) -> String {
+        if line.starts_with('@') {
+            return line.to_string();
+        }
+        let mut out = match rng.below(3) {
+            0 => line.to_string(),
+            1 => line.replace('·', "*"),
+            _ => line.replace('·', "."),
+        };
+        if rng.below(3) == 0 {
+            out = out.replace("eps", "ε");
+        }
+        if !out.contains('(') && rng.below(2) == 0 {
+            out = out.replacen('.', "().", 1);
+        }
+        if rng.below(4) == 0 {
+            out = format!("{} <- .", out.trim_end_matches('.'));
+        }
+        if rng.below(4) == 0 {
+            out.push_str(" % trailing comment");
+        }
+        out
+    }
+
+    /// Truncate `line`, drop one character, or insert one.
+    fn mutate(line: &str, rng: &mut TestRng) -> String {
+        let mut chars: Vec<char> = line.chars().collect();
+        let at = rng.below(chars.len() + 1);
+        match rng.below(3) {
+            0 => chars.truncate(at),
+            1 if at < chars.len() => {
+                chars.remove(at);
+            }
+            _ => chars.insert(at, pick(rng, &INSERTS)),
+        }
+        chars.into_iter().collect()
+    }
+
+    /// The lines of a random instance's text, each restyled, followed by one
+    /// mutant of each.
+    struct InstanceLines;
+
+    impl Strategy for InstanceLines {
+        type Value = (Vec<String>, Vec<String>);
+
+        fn generate(&self, rng: &mut TestRng) -> Self::Value {
+            let text = write_instance(&random_instance(rng));
+            let lines: Vec<String> = text.lines().map(|line| restyle(line, rng)).collect();
+            let mutants = lines.iter().map(|line| mutate(line, rng)).collect();
+            (lines, mutants)
+        }
+    }
+
+    fn assert_same_instance_result(text: &str) {
+        match (parse_instance(text), oracle_parse_instance(text)) {
+            (Ok(new), Ok(old)) => assert_eq!(new, old, "{text:?}"),
+            (Err(new), Err(old)) => assert_eq!(new.line, old.line, "{text:?}: {new} / {old}"),
+            (new, old) => panic!("{text:?}: loader {new:?}, rule parser {old:?}"),
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn ground_fact_reader_agrees_with_the_rule_parser(case in InstanceLines) {
+            let (lines, mutants) = case;
+            for line in lines.iter().chain(&mutants) {
+                let new = parse_ground_fact(line.trim());
+                let old = oracle_fact_line(line.trim());
+                prop_assert_eq!(new.is_ok(), old.is_ok(), "{:?}: {:?} / {:?}", line, new, old);
+                if let (Ok(new), Ok(old)) = (new, old) {
+                    prop_assert_eq!(new, old, "{:?}", line);
+                }
+            }
+            // Whole files: the unmutated text, and the text with every third
+            // line replaced by its mutant.
+            assert_same_instance_result(&lines.join("\n"));
+            let mixed: Vec<&str> = lines
+                .iter()
+                .zip(&mutants)
+                .enumerate()
+                .map(|(i, (line, mutant))| if i % 3 == 1 { mutant } else { line }.as_str())
+                .collect();
+            assert_same_instance_result(&mixed.join("\n"));
+        }
     }
 }

@@ -1,18 +1,51 @@
 //! # seqdl-io — loading and storing sequence databases and programs
 //!
 //! A small, dependency-free text format for sequence database instances, plus
-//! helpers for reading programs and instances from files:
+//! helpers for reading programs and instances from files.
 //!
-//! * An **instance file** (`.sdi`) is a list of ground facts, one per line, in the
-//!   same syntax the engine and the paper use: `R(a·b·c).`, `D(q0, a, q1).`,
-//!   `Flag().` for nullary facts.  Blank lines and `#`/`%` comments are ignored.
-//!   An optional declaration line `@relation R/1.` declares a relation (so that
-//!   empty relations survive a round trip).
-//! * A **program file** (`.sdl`) is ordinary Sequence Datalog source as accepted by
-//!   [`seqdl_syntax::parse_program`], with the same comment conventions.
+//! ## Instance files (`.sdi`)
 //!
-//! [`write_instance`] and [`parse_instance`] round-trip every instance, including
-//! ones with packed values.
+//! An instance file is read line by line.  Each line, with surrounding
+//! whitespace removed, is one of:
+//!
+//! * **blank**, or a **comment**: its first character is `#` or `%`;
+//! * a **declaration** `@relation Name/arity.`: `@relation`, at least one
+//!   whitespace character, an identifier, `/`, a decimal arity, and any
+//!   number of final `.` (none is fine); whitespace may surround `Name`,
+//!   `/` and the arity.  It declares a relation, so that empty relations
+//!   survive a round trip;
+//! * a **ground fact**, in the syntax of a program rule with an empty body and
+//!   no variables:
+//!
+//! ```text
+//! fact   ::= ident [ "(" [ expr { "," expr } ] ")" ] [ arrow ] "." [ comment ]
+//! arrow  ::= "<-" | ":-" | "←"
+//! expr   ::= item { concat item }
+//! concat ::= "·" | "*" | "."
+//! item   ::= ident | quoted | "eps" | "ε" | "<" [ expr ] ">" | "⟨" [ expr ] "⟩"
+//! ident  ::= a nonempty run of ASCII letters, digits and "_", other than "eps"
+//! quoted ::= "'" { any character but "'", or the escape "\'" } "'"
+//! ```
+//!
+//! So `R(a·b·c).`, `D(q0, a, q1).`, `T(<a·b>·c).`, `Log('has space'·'eps').`,
+//! `R(eps).` (the empty path) and the nullary `Flag.` or `Flag().` are facts,
+//! and so is `R(a) <- .`.  A `.` concatenates only when a term follows it
+//! directly (an identifier character, `@`, `$`, `<`, `⟨` or a quote);
+//! otherwise it ends the fact.  Spaces and tabs may separate tokens, and `%`,
+//! `#` or `//` after the fact starts a comment.  A variable (`@x`, `$x`) or a
+//! nonempty body is an error.  Fact lines are read by a
+//! [`seqdl_syntax::FactReader`], which shares its lexer with the program parser
+//! and interns each path as it reads it.
+//!
+//! [`write_instance`] writes this format: declarations first, then one fact per
+//! line, with `·`, `eps`, and single quotes around every atom that is not an
+//! identifier.  [`parse_instance`] reads it back, including packed values.
+//!
+//! ## Program files (`.sdl`)
+//!
+//! A program file is Sequence Datalog source as accepted by
+//! [`seqdl_syntax::parse_program`], with the same comments.  It is parsed as
+//! read, so the byte offsets in syntax errors are offsets into the file.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

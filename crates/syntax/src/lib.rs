@@ -26,6 +26,11 @@
 //! * `!`, `~` or `¬` negates an atom, `e1 != e2` is a nonequality;
 //! * a rule ends with `.`; strata are separated by a line of dashes `---`;
 //! * `%`, `#` or `//` start a comment that runs to the end of the line.
+//!
+//! [`parse_ground_fact`] and [`FactReader`] read a ground fact such as
+//! `R(a·<b·c>).` (a rule without variables and with an empty body) straight
+//! into interned paths, with the same lexer and no syntax tree; the instance
+//! loader of `seqdl-io` reads every fact line this way.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -34,6 +39,7 @@ pub mod adornment;
 pub mod analysis;
 pub mod ast;
 pub mod error;
+mod lexer;
 pub mod parser;
 pub mod term;
 pub mod valuation;
@@ -44,7 +50,8 @@ pub use analysis::{
 };
 pub use ast::{Atom, Equation, Literal, Predicate, Program, Rule, Stratum};
 pub use error::SyntaxError;
-pub use parser::{parse_expr, parse_program, parse_rule};
+pub use lexer::is_identifier;
+pub use parser::{parse_expr, parse_ground_fact, parse_program, parse_rule, FactReader};
 pub use term::{PathExpr, Term, Var, VarKind};
 pub use valuation::{Binding, Valuation};
 

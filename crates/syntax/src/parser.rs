@@ -1,14 +1,17 @@
-//! Parser for the concrete syntax of Sequence Datalog programs.
+//! Parser for the concrete syntax of Sequence Datalog programs and facts.
 //!
 //! The accepted grammar is described in the crate-level documentation.  The parser
-//! is a plain hand-written recursive-descent parser over a small token stream; it
-//! reports byte offsets in errors and round-trips with the `Display`
-//! implementations of the AST (see the `parse_print_roundtrip` tests).
+//! is a plain hand-written recursive-descent parser over the tokens of the
+//! crate's lexer; it reports byte offsets in errors and round-trips with the
+//! `Display` implementations of the AST (see the `parse_print_roundtrip` tests).
+//! [`parse_ground_fact`] reads one ground fact straight into interned paths,
+//! pulling tokens from the same lexer without building a syntax tree.
 
 use crate::ast::{Atom, Equation, Literal, Predicate, Program, Rule, Stratum};
 use crate::error::SyntaxError;
+use crate::lexer::{lex, unquote, Lexer, Spanned, Tok};
 use crate::term::{PathExpr, Term, Var};
-use seqdl_core::{AtomId, RelName};
+use seqdl_core::{AtomId, Fact, Path, RelName, Value};
 
 /// Parse a complete program (one or more strata separated by `---` lines).
 pub fn parse_program(input: &str) -> Result<Program, SyntaxError> {
@@ -35,306 +38,22 @@ pub fn parse_expr(input: &str) -> Result<PathExpr, SyntaxError> {
     Ok(expr)
 }
 
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum Tok {
-    Ident(String),
-    Quoted(String),
-    AtomVar(String),
-    PathVar(String),
-    LParen,
-    RParen,
-    LAngle,
-    RAngle,
-    Comma,
-    RuleEnd,
-    Concat,
-    Arrow,
-    Eq,
-    Neq,
-    Not,
-    StratumSep,
-    Eps,
-}
-
-#[derive(Debug, Clone)]
-struct Spanned {
-    tok: Tok,
-    offset: usize,
-}
-
-fn is_ident_char(c: char) -> bool {
-    c.is_ascii_alphanumeric() || c == '_'
-}
-
-fn lex(input: &str) -> Result<Vec<Spanned>, SyntaxError> {
-    let mut out = Vec::new();
-    let chars: Vec<char> = input.chars().collect();
-    let mut i = 0usize;
-    // Byte offsets for error messages.
-    let offsets: Vec<usize> = input.char_indices().map(|(o, _)| o).collect();
-    let offset_at = |i: usize| offsets.get(i).copied().unwrap_or(input.len());
-
-    while i < chars.len() {
-        let c = chars[i];
-        let off = offset_at(i);
-        match c {
-            ' ' | '\t' | '\r' | '\n' => {
-                i += 1;
-            }
-            '%' | '#' => {
-                while i < chars.len() && chars[i] != '\n' {
-                    i += 1;
-                }
-            }
-            '/' if chars.get(i + 1) == Some(&'/') => {
-                while i < chars.len() && chars[i] != '\n' {
-                    i += 1;
-                }
-            }
-            '-' if chars.get(i + 1) == Some(&'-') && chars.get(i + 2) == Some(&'-') => {
-                while i < chars.len() && chars[i] == '-' {
-                    i += 1;
-                }
-                out.push(Spanned {
-                    tok: Tok::StratumSep,
-                    offset: off,
-                });
-            }
-            '(' => {
-                out.push(Spanned {
-                    tok: Tok::LParen,
-                    offset: off,
-                });
-                i += 1;
-            }
-            ')' => {
-                out.push(Spanned {
-                    tok: Tok::RParen,
-                    offset: off,
-                });
-                i += 1;
-            }
-            ',' => {
-                out.push(Spanned {
-                    tok: Tok::Comma,
-                    offset: off,
-                });
-                i += 1;
-            }
-            '∧' => {
-                out.push(Spanned {
-                    tok: Tok::Comma,
-                    offset: off,
-                });
-                i += 1;
-            }
-            '<' => {
-                if chars.get(i + 1) == Some(&'-') {
-                    out.push(Spanned {
-                        tok: Tok::Arrow,
-                        offset: off,
-                    });
-                    i += 2;
-                } else {
-                    out.push(Spanned {
-                        tok: Tok::LAngle,
-                        offset: off,
-                    });
-                    i += 1;
-                }
-            }
-            '⟨' => {
-                out.push(Spanned {
-                    tok: Tok::LAngle,
-                    offset: off,
-                });
-                i += 1;
-            }
-            '>' | '⟩' => {
-                out.push(Spanned {
-                    tok: Tok::RAngle,
-                    offset: off,
-                });
-                i += 1;
-            }
-            '←' => {
-                out.push(Spanned {
-                    tok: Tok::Arrow,
-                    offset: off,
-                });
-                i += 1;
-            }
-            ':' if chars.get(i + 1) == Some(&'-') => {
-                out.push(Spanned {
-                    tok: Tok::Arrow,
-                    offset: off,
-                });
-                i += 2;
-            }
-            '·' | '*' => {
-                out.push(Spanned {
-                    tok: Tok::Concat,
-                    offset: off,
-                });
-                i += 1;
-            }
-            '.' => {
-                // A dot immediately followed by something that can start a term is
-                // concatenation; otherwise it ends a rule.
-                let next = chars.get(i + 1).copied();
-                let is_concat = next.is_some_and(|n| {
-                    is_ident_char(n) || n == '@' || n == '$' || n == '<' || n == '\'' || n == '⟨'
-                });
-                out.push(Spanned {
-                    tok: if is_concat { Tok::Concat } else { Tok::RuleEnd },
-                    offset: off,
-                });
-                i += 1;
-            }
-            '=' => {
-                out.push(Spanned {
-                    tok: Tok::Eq,
-                    offset: off,
-                });
-                i += 1;
-            }
-            '≠' => {
-                out.push(Spanned {
-                    tok: Tok::Neq,
-                    offset: off,
-                });
-                i += 1;
-            }
-            '!' => {
-                if chars.get(i + 1) == Some(&'=') {
-                    out.push(Spanned {
-                        tok: Tok::Neq,
-                        offset: off,
-                    });
-                    i += 2;
-                } else {
-                    out.push(Spanned {
-                        tok: Tok::Not,
-                        offset: off,
-                    });
-                    i += 1;
-                }
-            }
-            '~' | '¬' => {
-                out.push(Spanned {
-                    tok: Tok::Not,
-                    offset: off,
-                });
-                i += 1;
-            }
-            '@' | '$' => {
-                let sigil = c;
-                i += 1;
-                let start = i;
-                while i < chars.len() && is_ident_char(chars[i]) {
-                    i += 1;
-                }
-                if start == i {
-                    return Err(SyntaxError::Lex {
-                        offset: off,
-                        message: format!("expected a variable name after `{sigil}`"),
-                    });
-                }
-                let name: String = chars[start..i].iter().collect();
-                out.push(Spanned {
-                    tok: if sigil == '@' {
-                        Tok::AtomVar(name)
-                    } else {
-                        Tok::PathVar(name)
-                    },
-                    offset: off,
-                });
-            }
-            '\'' => {
-                i += 1;
-                let mut name = String::new();
-                let mut closed = false;
-                while i < chars.len() {
-                    if chars[i] == '\\' && chars.get(i + 1) == Some(&'\'') {
-                        name.push('\'');
-                        i += 2;
-                    } else if chars[i] == '\'' {
-                        closed = true;
-                        i += 1;
-                        break;
-                    } else {
-                        name.push(chars[i]);
-                        i += 1;
-                    }
-                }
-                if !closed {
-                    return Err(SyntaxError::Lex {
-                        offset: off,
-                        message: "unterminated quoted atom".into(),
-                    });
-                }
-                out.push(Spanned {
-                    tok: Tok::Quoted(name),
-                    offset: off,
-                });
-            }
-            c if is_ident_char(c) => {
-                let start = i;
-                while i < chars.len() && is_ident_char(chars[i]) {
-                    i += 1;
-                }
-                let name: String = chars[start..i].iter().collect();
-                out.push(Spanned {
-                    tok: if name == "eps" {
-                        Tok::Eps
-                    } else {
-                        Tok::Ident(name)
-                    },
-                    offset: off,
-                });
-            }
-            'ε' => {
-                out.push(Spanned {
-                    tok: Tok::Eps,
-                    offset: off,
-                });
-                i += 1;
-            }
-            other => {
-                if other == 'ε' {
-                    out.push(Spanned {
-                        tok: Tok::Eps,
-                        offset: off,
-                    });
-                    i += 1;
-                } else {
-                    return Err(SyntaxError::Lex {
-                        offset: off,
-                        message: format!("unexpected character `{other}`"),
-                    });
-                }
-            }
-        }
-    }
-    Ok(out)
-}
-
-struct Parser {
-    tokens: Vec<Spanned>,
+struct Parser<'a> {
+    tokens: Vec<Spanned<'a>>,
     pos: usize,
 }
 
-impl Parser {
-    fn new(tokens: Vec<Spanned>) -> Parser {
+impl<'a> Parser<'a> {
+    fn new(tokens: Vec<Spanned<'a>>) -> Parser<'a> {
         Parser { tokens, pos: 0 }
     }
 
-    fn peek(&self) -> Option<&Tok> {
-        self.tokens.get(self.pos).map(|s| &s.tok)
+    fn peek(&self) -> Option<Tok<'a>> {
+        self.tokens.get(self.pos).map(|s| s.tok)
     }
 
-    fn peek_at(&self, n: usize) -> Option<&Tok> {
-        self.tokens.get(self.pos + n).map(|s| &s.tok)
+    fn peek_at(&self, n: usize) -> Option<Tok<'a>> {
+        self.tokens.get(self.pos + n).map(|s| s.tok)
     }
 
     fn offset(&self) -> usize {
@@ -344,8 +63,8 @@ impl Parser {
             .unwrap_or_else(|| self.tokens.last().map(|s| s.offset + 1).unwrap_or(0))
     }
 
-    fn bump(&mut self) -> Option<Tok> {
-        let t = self.tokens.get(self.pos).map(|s| s.tok.clone());
+    fn bump(&mut self) -> Option<Tok<'a>> {
+        let t = self.peek();
         if t.is_some() {
             self.pos += 1;
         }
@@ -359,9 +78,9 @@ impl Parser {
         })
     }
 
-    fn expect(&mut self, tok: Tok, what: &str) -> Result<(), SyntaxError> {
+    fn expect(&mut self, tok: Tok<'a>, what: &str) -> Result<(), SyntaxError> {
         match self.peek() {
-            Some(t) if *t == tok => {
+            Some(t) if t == tok => {
                 self.pos += 1;
                 Ok(())
             }
@@ -382,11 +101,11 @@ impl Parser {
         let mut strata = Vec::new();
         let mut current = Vec::new();
         // Leading separators are harmless.
-        while self.peek() == Some(&Tok::StratumSep) {
+        while self.peek() == Some(Tok::StratumSep) {
             self.pos += 1;
         }
         while self.peek().is_some() {
-            if self.peek() == Some(&Tok::StratumSep) {
+            if self.peek() == Some(Tok::StratumSep) {
                 self.pos += 1;
                 strata.push(Stratum::new(std::mem::take(&mut current)));
                 continue;
@@ -399,13 +118,13 @@ impl Parser {
 
     fn rule(&mut self) -> Result<Rule, SyntaxError> {
         let head = self.predicate()?;
-        let body = if self.peek() == Some(&Tok::Arrow) {
+        let body = if self.peek() == Some(Tok::Arrow) {
             self.pos += 1;
-            if self.peek() == Some(&Tok::RuleEnd) {
+            if self.peek() == Some(Tok::RuleEnd) {
                 Vec::new()
             } else {
                 let mut body = vec![self.literal()?];
-                while self.peek() == Some(&Tok::Comma) {
+                while self.peek() == Some(Tok::Comma) {
                     self.pos += 1;
                     body.push(self.literal()?);
                 }
@@ -420,7 +139,7 @@ impl Parser {
 
     /// Is the current position the start of `Ident (`, i.e. a predicate application?
     fn looks_like_predicate(&self) -> bool {
-        matches!(self.peek(), Some(Tok::Ident(_))) && self.peek_at(1) == Some(&Tok::LParen)
+        matches!(self.peek(), Some(Tok::Ident(_))) && self.peek_at(1) == Some(Tok::LParen)
     }
 
     fn atom(&mut self) -> Result<Atom, SyntaxError> {
@@ -470,18 +189,18 @@ impl Parser {
             Some(other) => return self.error(format!("expected a relation name, found {other:?}")),
             None => return self.error("expected a relation name, found end of input"),
         };
-        let relation = RelName::new(&name);
-        if self.peek() != Some(&Tok::LParen) {
+        let relation = RelName::new(name);
+        if self.peek() != Some(Tok::LParen) {
             return Ok(Predicate::nullary(relation));
         }
         self.pos += 1;
         let mut args = Vec::new();
-        if self.peek() == Some(&Tok::RParen) {
+        if self.peek() == Some(Tok::RParen) {
             self.pos += 1;
             return Ok(Predicate::new(relation, args));
         }
         args.push(self.expr()?);
-        while self.peek() == Some(&Tok::Comma) {
+        while self.peek() == Some(Tok::Comma) {
             self.pos += 1;
             args.push(self.expr()?);
         }
@@ -492,7 +211,7 @@ impl Parser {
     fn expr(&mut self) -> Result<PathExpr, SyntaxError> {
         let mut terms = Vec::new();
         self.expr_item(&mut terms)?;
-        while self.peek() == Some(&Tok::Concat) {
+        while self.peek() == Some(Tok::Concat) {
             self.pos += 1;
             self.expr_item(&mut terms)?;
         }
@@ -500,25 +219,25 @@ impl Parser {
     }
 
     fn expr_item(&mut self, terms: &mut Vec<Term>) -> Result<(), SyntaxError> {
-        match self.peek().cloned() {
+        match self.peek() {
             Some(Tok::Ident(name)) => {
                 self.pos += 1;
-                terms.push(Term::Const(AtomId::new(&name)));
+                terms.push(Term::Const(AtomId::new(name)));
                 Ok(())
             }
-            Some(Tok::Quoted(name)) => {
+            Some(Tok::Quoted(raw)) => {
                 self.pos += 1;
-                terms.push(Term::Const(AtomId::new(&name)));
+                terms.push(Term::Const(AtomId::new(&unquote(raw))));
                 Ok(())
             }
             Some(Tok::AtomVar(name)) => {
                 self.pos += 1;
-                terms.push(Term::Var(Var::atom(&name)));
+                terms.push(Term::Var(Var::atom(name)));
                 Ok(())
             }
             Some(Tok::PathVar(name)) => {
                 self.pos += 1;
-                terms.push(Term::Var(Var::path(&name)));
+                terms.push(Term::Var(Var::path(name)));
                 Ok(())
             }
             Some(Tok::Eps) => {
@@ -529,7 +248,7 @@ impl Parser {
             }
             Some(Tok::LAngle) => {
                 self.pos += 1;
-                let inner = if self.peek() == Some(&Tok::RAngle) {
+                let inner = if self.peek() == Some(Tok::RAngle) {
                     PathExpr::empty()
                 } else {
                     self.expr()?
@@ -547,7 +266,7 @@ impl Parser {
 // The `atom` method signals nonequalities with a sentinel error; intercept it in
 // `literal` by re-parsing.  To keep that logic local we implement it as a free
 // function extension here.
-impl Parser {
+impl Parser<'_> {
     fn literal(&mut self) -> Result<Literal, SyntaxError> {
         let start = self.pos;
         match self.literal_inner() {
@@ -566,9 +285,9 @@ impl Parser {
     }
 
     fn literal_inner(&mut self) -> Result<Literal, SyntaxError> {
-        if self.peek() == Some(&Tok::Not) {
+        if self.peek() == Some(Tok::Not) {
             self.pos += 1;
-            if self.peek() == Some(&Tok::LParen) && !self.looks_like_predicate() {
+            if self.peek() == Some(Tok::LParen) && !self.looks_like_predicate() {
                 self.pos += 1;
                 let lhs = self.expr()?;
                 self.expect(Tok::Eq, "`=` inside negated equation")?;
@@ -581,6 +300,185 @@ impl Parser {
         }
         let atom = self.atom()?;
         Ok(Literal::positive(atom))
+    }
+}
+
+/// Parse one ground fact, e.g. `R(a·b, <c>·'x y').`, straight into interned
+/// paths.
+///
+/// The grammar is the one [`parse_rule`] reads, restricted to rules without
+/// variables and with an empty body (`R(a).` or `R(a) <- .`); `Flag.` and
+/// `Flag().` are nullary facts.  The fact equals the one the rule's head
+/// denotes through [`PathExpr::as_path`], but no syntax tree is built: each
+/// value is interned as soon as it is read.
+///
+/// # Errors
+/// Lexical and syntax errors with byte offsets, as [`parse_rule`] reports them;
+/// a variable (“… is not ground …”); a nonempty body (“facts must not have a
+/// body”).
+pub fn parse_ground_fact(input: &str) -> Result<Fact, SyntaxError> {
+    FactReader::new().read(input)
+}
+
+/// Reads ground facts one at a time, as [`parse_ground_fact`] does, keeping
+/// what consecutive facts share: the buffer their values are collected in,
+/// and the last relation name and its interned [`RelName`] (an instance file
+/// lists the facts of one relation together).  `'t` is the lifetime of the
+/// text the facts are read from.
+#[derive(Default)]
+pub struct FactReader<'t> {
+    values: Vec<Value>,
+    relation: Option<(&'t str, RelName)>,
+}
+
+impl<'t> FactReader<'t> {
+    /// A reader that has read nothing yet.
+    pub fn new() -> FactReader<'t> {
+        FactReader::default()
+    }
+
+    /// Read one ground fact, e.g. `R(a·b).`; see [`parse_ground_fact`].
+    ///
+    /// # Errors
+    /// Those of [`parse_ground_fact`].
+    pub fn read(&mut self, input: &'t str) -> Result<Fact, SyntaxError> {
+        // An error leaves the values read before it in the buffer.
+        self.values.clear();
+        let mut lexer = Lexer::new(input);
+        let current = lexer.next_token()?;
+        FactParser {
+            lexer,
+            current,
+            reader: self,
+        }
+        .fact()
+    }
+}
+
+/// The ground-fact parser: one token of lookahead over a pull [`Lexer`].  The
+/// reader's buffer is a stack of the values read so far: a packed path's
+/// values sit on top of those of the paths enclosing it.
+struct FactParser<'r, 'a> {
+    lexer: Lexer<'a>,
+    current: Option<Spanned<'a>>,
+    reader: &'r mut FactReader<'a>,
+}
+
+impl<'a> FactParser<'_, 'a> {
+    fn peek(&self) -> Option<Tok<'a>> {
+        self.current.map(|s| s.tok)
+    }
+
+    fn advance(&mut self) -> Result<(), SyntaxError> {
+        self.current = self.lexer.next_token()?;
+        Ok(())
+    }
+
+    fn error<T>(&self, message: impl Into<String>) -> Result<T, SyntaxError> {
+        Err(SyntaxError::Parse {
+            offset: self.current.map_or(self.lexer.end(), |s| s.offset),
+            message: message.into(),
+        })
+    }
+
+    fn unexpected<T>(&self, what: &str) -> Result<T, SyntaxError> {
+        match self.peek() {
+            Some(t) => self.error(format!("expected {what}, found {t:?}")),
+            None => self.error(format!("expected {what}, found end of input")),
+        }
+    }
+
+    fn expect(&mut self, tok: Tok<'a>, what: &str) -> Result<(), SyntaxError> {
+        if self.peek() == Some(tok) {
+            self.advance()
+        } else {
+            self.unexpected(what)
+        }
+    }
+
+    fn fact(&mut self) -> Result<Fact, SyntaxError> {
+        let Some(Tok::Ident(name)) = self.peek() else {
+            return self.unexpected("a relation name");
+        };
+        let relation = match self.reader.relation {
+            Some((last, relation)) if last == name => relation,
+            _ => {
+                let relation = RelName::new(name);
+                self.reader.relation = Some((name, relation));
+                relation
+            }
+        };
+        self.advance()?;
+        let mut tuple = Vec::new();
+        if self.peek() == Some(Tok::LParen) {
+            self.advance()?;
+            if self.peek() != Some(Tok::RParen) {
+                tuple.push(self.path()?);
+                while self.peek() == Some(Tok::Comma) {
+                    self.advance()?;
+                    tuple.push(self.path()?);
+                }
+            }
+            self.expect(Tok::RParen, "`)` closing the predicate")?;
+        }
+        if self.peek() == Some(Tok::Arrow) {
+            self.advance()?;
+            if !matches!(self.peek(), Some(Tok::RuleEnd) | None) {
+                return self.error("facts must not have a body");
+            }
+        }
+        self.expect(Tok::RuleEnd, "`.` at the end of the rule")?;
+        if self.current.is_some() {
+            return self.error("unexpected trailing input");
+        }
+        Ok(Fact::new(relation, tuple))
+    }
+
+    /// A concatenation of items, interned as one path.
+    fn path(&mut self) -> Result<Path, SyntaxError> {
+        let start = self.reader.values.len();
+        self.item()?;
+        while self.peek() == Some(Tok::Concat) {
+            self.advance()?;
+            self.item()?;
+        }
+        let values = &mut self.reader.values;
+        let path = Path::from_slice(&values[start..]);
+        values.truncate(start);
+        Ok(path)
+    }
+
+    fn item(&mut self) -> Result<(), SyntaxError> {
+        match self.peek() {
+            Some(Tok::Ident(name)) => self.reader.values.push(Value::Atom(AtomId::new(name))),
+            Some(Tok::Quoted(raw)) => self
+                .reader
+                .values
+                .push(Value::Atom(AtomId::new(&unquote(raw)))),
+            Some(Tok::AtomVar(name)) => return self.not_ground('@', name),
+            Some(Tok::PathVar(name)) => return self.not_ground('$', name),
+            // ε contributes no values.
+            Some(Tok::Eps) => {}
+            Some(Tok::LAngle) => {
+                self.advance()?;
+                let inner = if self.peek() == Some(Tok::RAngle) {
+                    Path::empty()
+                } else {
+                    self.path()?
+                };
+                self.expect(Tok::RAngle, "`>` closing the packed expression")?;
+                self.reader.values.push(Value::packed(inner));
+                return Ok(());
+            }
+            _ => return self.unexpected("a path-expression item"),
+        }
+        self.advance()
+    }
+
+    fn not_ground<T>(&self, sigil: char, name: &str) -> Result<T, SyntaxError> {
+        self.error(format!(
+            "variable `{sigil}{name}` is not ground; instance files may only contain ground facts"
+        ))
     }
 }
 
@@ -751,6 +649,40 @@ mod tests {
             let p2 = parse_program(&printed).unwrap();
             assert_eq!(p1, p2, "round-trip failed for `{src}` -> `{printed}`");
         }
+    }
+
+    #[test]
+    fn ground_facts_are_read_into_interned_paths() {
+        use seqdl_core::{path_of, Value};
+        let fact = parse_ground_fact("D(q0·<a·'x y'>, eps, ⟨⟩) <- .").unwrap();
+        assert_eq!(fact.relation, RelName::new("D"));
+        let packed = Value::packed(path_of(&["a", "x y"]));
+        assert_eq!(
+            fact.tuple,
+            [
+                Path::from_values([Value::atom("q0"), packed]),
+                Path::empty(),
+                Path::singleton(Value::packed(Path::empty())),
+            ]
+        );
+        assert_eq!(parse_ground_fact("Flag.").unwrap().tuple, []);
+        let message = |input| match parse_ground_fact(input) {
+            Err(SyntaxError::Parse { message, .. }) => message,
+            other => panic!("expected a parse error, got {other:?}"),
+        };
+        assert!(message("R(a·$x).").contains("not ground"));
+        assert!(message("R(a) <- S(b).").contains("facts must not have a body"));
+    }
+
+    #[test]
+    fn a_fact_reader_starts_each_fact_afresh() {
+        use seqdl_core::path_of;
+        let mut reader = FactReader::new();
+        assert!(reader.read("R(a·<b·$x>).").is_err());
+        let fact = reader.read("S(c).").unwrap();
+        assert_eq!(fact.relation, RelName::new("S"));
+        assert_eq!(fact.tuple, [path_of(&["c"])]);
+        assert_eq!(reader.read("R(d).").unwrap().relation, RelName::new("R"));
     }
 
     #[test]
