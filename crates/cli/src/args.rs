@@ -2,7 +2,9 @@
 //!
 //! The grammar is the conventional one: the first argument names the subcommand;
 //! `--flag value` supplies an option, `--flag` alone a boolean switch, and anything
-//! else is a positional argument.  `--flag=value` is also accepted.
+//! else is a positional argument.  `--flag=value` is also accepted.  Option and
+//! switch names come from two fixed lists, [`VALUE_FLAGS`] and [`SWITCH_FLAGS`];
+//! any other `--name` is an error, so a mistyped flag is never silently ignored.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -30,8 +32,7 @@ impl fmt::Display for ArgError {
 
 impl std::error::Error for ArgError {}
 
-/// The set of flag names that take a value; everything else starting with `--` is a
-/// boolean switch.
+/// The flag names that take a value.
 pub const VALUE_FLAGS: &[&str] = &[
     "program",
     "instance",
@@ -56,6 +57,19 @@ pub const VALUE_FLAGS: &[&str] = &[
     "save",
     "trace-out",
     "stats-format",
+];
+
+/// The flag names that are boolean switches.
+pub const SWITCH_FLAGS: &[&str] = &[
+    "all",
+    "allow-empty",
+    "contains",
+    "dot",
+    "no-strip-dead",
+    "profile",
+    "show-ram",
+    "show-rewrite",
+    "stats",
 ];
 
 /// Parse the arguments following the subcommand name.
@@ -85,6 +99,8 @@ pub fn parse_flags(args: &[String]) -> Result<Flags, ArgError> {
                 if flags.options.insert(name.to_string(), value).is_some() {
                     return Err(ArgError(format!("--{name} given twice")));
                 }
+            } else if !SWITCH_FLAGS.contains(&name) {
+                return Err(ArgError(format!("unknown flag --{name}")));
             } else if inline_value.is_some() {
                 return Err(ArgError(format!("--{name} does not take a value")));
             } else {
@@ -165,6 +181,18 @@ mod tests {
         assert!(parse_flags(&args(&["--program"])).is_err());
         assert!(parse_flags(&args(&["--program", "a", "--program", "b"])).is_err());
         assert!(parse_flags(&args(&["--dot=value"])).is_err());
+    }
+
+    #[test]
+    fn unknown_switches_are_errors() {
+        for unknown in ["--no-ram", "--no-strip-ded", "--stat"] {
+            let err = parse_flags(&args(&[unknown])).unwrap_err();
+            assert!(err.to_string().contains(unknown), "{err}");
+        }
+        for switch in SWITCH_FLAGS {
+            let flags = parse_flags(&args(&[&format!("--{switch}")])).unwrap();
+            assert!(flags.has(switch), "--{switch}");
+        }
     }
 
     #[test]

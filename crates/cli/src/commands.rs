@@ -63,10 +63,10 @@ pub fn help_text() -> String {
         "  seqdl run         --program q.sdl --instance db.sdi [--output S] [--strategy naive|semi-naive]\n",
         "                    [--threads N] [--shard-size N] [--max-iterations N] [--max-facts N]\n",
         "                    [--max-path-len N] [--timeout 50ms|2s] [--max-store-bytes 64m]\n",
-        "                    [--no-ram] [--stats] [--profile] [--stats-format text|json]\n",
+        "                    [--no-strip-dead] [--stats] [--profile] [--stats-format text|json]\n",
         "                    [--trace-out trace.json] [--save out.sdi]\n",
         "  seqdl query       --program q.sdl --instance db.sdi --goal \"Reach(a·b·$x)?\"\n",
-        "                    [--threads N] [--timeout 50ms] [--no-ram] [--stats] [--profile]\n",
+        "                    [--threads N] [--timeout 50ms] [--no-strip-dead] [--stats] [--profile]\n",
         "                    [--stats-format text|json] [--trace-out trace.json] [--show-rewrite]\n",
         "                    (demand-driven: only rules relevant to the goal fire, via the\n",
         "                    magic-set rewrite)\n",
@@ -98,9 +98,11 @@ pub fn help_text() -> String {
         "evaluation (disable with `--no-strip-dead`; `--save` also disables the\n",
         "pruning, since it must materialise every relation).\n",
         "\n",
-        "By default rules are compiled to a flat RAM-style instruction program\n",
-        "(`seqdl analyze --show-ram` prints the listing); `--no-ram` falls back to\n",
-        "the legacy tree-walking matcher.\n",
+        "Rules are compiled to a flat RAM-style instruction program (`seqdl\n",
+        "analyze --show-ram` prints the listing) and evaluated semi-naively.\n",
+        "`--strategy naive` instead runs the reference evaluator: a naive\n",
+        "fixpoint over full scans that follows the paper's semantics directly,\n",
+        "with no plans, indexes or RAM — slow, but the oracle the tests use.\n",
         "\n",
         "Resource governance: `--timeout D` imposes a wall-clock deadline (bare\n",
         "numbers are milliseconds; `ms`/`s`/`m` suffixes accepted), and\n",
@@ -245,7 +247,6 @@ fn engine_from_flags(flags: &Flags) -> Result<Engine, CliError> {
     Ok(Engine::new()
         .with_limits(limits)
         .with_strategy(strategy)
-        .with_ram(!flags.has("no-ram"))
         // Ctrl-C cancels a running evaluation at the next governor checkpoint
         // instead of killing the process: the run returns with partial stats.
         .with_cancel_token(seqdl_core::CancelToken::linked_to(&crate::INTERRUPTED)))
@@ -636,10 +637,7 @@ fn preflight_warnings(program: &Program, options: &CheckOptions) -> String {
 /// a relation whose rules were all removed is no longer IDB there, so without
 /// this pre-check the optimized and unoptimized runs would diverge (silent
 /// acceptance vs error) on the same invalid input.
-fn check_idb_schema(
-    program: &Program,
-    instance: &Instance,
-) -> Result<(), seqdl_engine::EvalError> {
+fn check_idb_schema(program: &Program, instance: &Instance) -> Result<(), seqdl_engine::EvalError> {
     // An inconsistent-arity program fails through evaluation on its own terms.
     let Ok(arities) = program.relation_arities() else {
         return Ok(());
@@ -816,7 +814,8 @@ fn cmd_query(flags: &Flags) -> Result<String, CliError> {
         &check_options([goal.relation], Some(&instance)),
     ));
     let format = stats_format(flags)?;
-    check_idb_schema(&mp.program, &instance).map_err(|e| eval_error_report(&executor, &e, format))?;
+    check_idb_schema(&mp.program, &instance)
+        .map_err(|e| eval_error_report(&executor, &e, format))?;
     // Prune magic rules that cannot reach the answer relation before
     // lowering.  The seeds make relations nonempty that neither the raw
     // instance nor the program's rules know anything about — the goal's
@@ -1640,7 +1639,14 @@ mod tests {
             .insert_fact(seqdl_core::Fact::new(rel("N"), vec![path_of(&["a"])]))
             .unwrap();
         let instance = write_instance_file("query-seed.sdi", &graph);
-        let base = ["--program", &program, "--instance", &instance, "--goal", "T(a·$y)?"];
+        let base = [
+            "--program",
+            &program,
+            "--instance",
+            &instance,
+            "--goal",
+            "T(a·$y)?",
+        ];
         let stripped = cmd_query(&flags(&base)).unwrap();
         let mut unstripped_args = base.to_vec();
         unstripped_args.push("--no-strip-dead");
@@ -1661,7 +1667,14 @@ mod tests {
             .insert_fact(seqdl_core::Fact::new(rel("Dead"), vec![path_of(&["b"])]))
             .unwrap();
         let instance = write_instance_file("run-idb.sdi", &input);
-        let base = ["--program", &program, "--instance", &instance, "--output", "S"];
+        let base = [
+            "--program",
+            &program,
+            "--instance",
+            &instance,
+            "--output",
+            "S",
+        ];
         let stripped = cmd_run(&flags(&base)).unwrap_err();
         let mut unstripped_args = base.to_vec();
         unstripped_args.push("--no-strip-dead");
@@ -1781,13 +1794,13 @@ mod tests {
     }
 
     #[test]
-    fn run_stats_surface_instruction_counters_and_no_ram_disables_them() {
+    fn run_stats_surface_instruction_counters_and_the_reference_has_none() {
         let program = write_program("ram-stats.sdl", "S($x) <- R($x).");
         let instance = write_instance_file(
             "ram-stats.sdi",
             &Instance::unary(rel("R"), [path_of(&["a"]), path_of(&["b"])]),
         );
-        let with_ram = cmd_run(&flags(&[
+        let semi_naive = cmd_run(&flags(&[
             "--program",
             &program,
             "--instance",
@@ -1795,25 +1808,29 @@ mod tests {
             "--stats",
         ]))
         .unwrap();
-        assert!(with_ram.contains("instructions executed: "), "{with_ram}");
-        assert!(with_ram.contains("fused probes: "), "{with_ram}");
-        assert!(with_ram.contains("delta shard(s)"), "{with_ram}");
-        let instructions: usize = with_ram
+        assert!(
+            semi_naive.contains("instructions executed: "),
+            "{semi_naive}"
+        );
+        assert!(semi_naive.contains("fused probes: "), "{semi_naive}");
+        assert!(semi_naive.contains("delta shard(s)"), "{semi_naive}");
+        let instructions: usize = semi_naive
             .split("instructions executed: ")
             .nth(1)
             .and_then(|rest| rest.split(',').next())
             .and_then(|n| n.trim().parse().ok())
             .expect("parse instruction count");
-        assert!(instructions > 0, "{with_ram}");
-        // The legacy matcher executes no RAM instructions, but the answers
-        // are identical.
+        assert!(instructions > 0, "{semi_naive}");
+        // The reference evaluator executes no RAM instructions, but the
+        // answers are identical.
         let without = cmd_run(&flags(&[
             "--program",
             &program,
             "--instance",
             &instance,
             "--stats",
-            "--no-ram",
+            "--strategy",
+            "naive",
         ]))
         .unwrap();
         assert!(
@@ -1821,7 +1838,7 @@ mod tests {
             "{without}"
         );
         assert_eq!(
-            with_ram.lines().take(3).collect::<Vec<_>>(),
+            semi_naive.lines().take(3).collect::<Vec<_>>(),
             without.lines().take(3).collect::<Vec<_>>(),
             "answers must not depend on the execution path"
         );

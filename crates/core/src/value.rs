@@ -91,7 +91,8 @@ impl Value {
     /// Render with an explicit quoting convention (used by [`fmt::Display`]).
     ///
     /// Atom names consisting of ASCII alphanumerics and `_` are printed bare; any
-    /// other atom name is printed single-quoted so that the output can be re-parsed.
+    /// other atom name is printed single-quoted, with `\` written `\\` and `'`
+    /// written `\'`, so that the output can be re-parsed.
     pub(crate) fn fmt_into(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Value::Atom(a) => a.symbol().with_name(|name| {
@@ -101,7 +102,7 @@ impl Value {
                 if bare {
                     f.write_str(name)
                 } else {
-                    write!(f, "'{}'", name.replace('\'', "\\'"))
+                    write!(f, "'{}'", name.replace('\\', "\\\\").replace('\'', "\\'"))
                 }
             }),
             Value::Packed(p) => {

@@ -1,17 +1,13 @@
 //! Stratum-by-stratum fixpoint evaluation (Section 2.3).
 
 use crate::error::{EvalError, LimitKind};
-use crate::matching::{
-    equation_holds, ground_tuple, match_equation, match_predicate_flat, match_predicate_sink,
-};
 use crate::plan::{
     plan_rule, BodyPlan, ColumnProbe, PlannedLiteral, PlannedPredicate, PrefixSource,
 };
 use seqdl_core::{
-    CancelToken, Fact, Instance, Path, RelName, Relation, TrieEntry, Tuple, Value, TRIE_DEPTH,
+    CancelToken, Fact, Instance, Path, RelName, Relation, TrieEntry, Value, TRIE_DEPTH,
 };
 use seqdl_syntax::{Binding, Program, ProgramInfo, Rule, Valuation};
-use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, BTreeSet};
 use std::time::{Duration, Instant};
 
@@ -153,7 +149,8 @@ impl ResourceGovernor {
 /// Which fixpoint algorithm to use within a stratum.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FixpointStrategy {
-    /// Re-evaluate every rule against the full instance each iteration.
+    /// Re-evaluate every rule against the full instance each iteration: the
+    /// [`crate::reference`] evaluator, with no plans, indexes or RAM.
     Naive,
     /// Semi-naive evaluation: after the first iteration, only rule instantiations
     /// that use at least one fact derived in the previous iteration are considered.
@@ -177,11 +174,11 @@ pub struct EvalStats {
     pub scans: usize,
     /// RAM instruction dispatches executed by [`crate::ram::fire_proc`]
     /// (including choice-point resumes and fused-loop candidate advances);
-    /// zero when the legacy matcher runs.
+    /// zero under the reference evaluator.
     pub instructions_executed: usize,
     /// Executions of instructions the RAM lowering fused: fully-bound
     /// predicate probes compiled to existence-check filters, and terminal
-    /// probe+emit loops; zero when the legacy matcher runs.
+    /// probe+emit loops; zero under the reference evaluator.
     pub fused_probes: usize,
     /// Firings whose derived fact was recognised as a duplicate by the
     /// per-rule emit memo (one segment-identity probe instead of grounding
@@ -259,7 +256,7 @@ impl EvalStats {
     }
 }
 
-/// Counters produced by one [`fire_rule`] pass.
+/// Counters produced by one [`crate::ram::fire_proc`] pass.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct FireStats {
     /// Head instantiations (rule firings, counting duplicates).
@@ -268,9 +265,9 @@ pub struct FireStats {
     pub index_probes: usize,
     /// Predicate steps that scanned the relation.
     pub scans: usize,
-    /// RAM instruction dispatches (zero on the legacy matcher).
+    /// RAM instruction dispatches.
     pub instructions: usize,
-    /// Executions of fused instructions (zero on the legacy matcher).
+    /// Executions of fused instructions.
     pub fused_probes: usize,
     /// Firings deduplicated by the emit memo (segment-identity probe hits,
     /// plus duplicates a fused bucket-count loop collapsed without probing).
@@ -299,9 +296,9 @@ pub struct RuleStats {
     pub index_probes: usize,
     /// Predicate steps that scanned the relation.
     pub scans: usize,
-    /// RAM instruction dispatches (zero on the legacy matcher).
+    /// RAM instruction dispatches.
     pub instructions: usize,
-    /// Executions of fused instructions (zero on the legacy matcher).
+    /// Executions of fused instructions.
     pub fused_probes: usize,
     /// Firings deduplicated by the emit memo.
     pub emit_memo_hits: usize,
@@ -353,7 +350,6 @@ pub struct DeltaWindow {
 pub struct Engine {
     limits: EvalLimits,
     strategy: FixpointStrategy,
-    use_ram: bool,
     cancel: Option<CancelToken>,
 }
 
@@ -364,13 +360,12 @@ impl Default for Engine {
 }
 
 impl Engine {
-    /// An engine with default limits, semi-naive evaluation, and RAM-lowered
-    /// rule execution.
+    /// An engine with default limits and semi-naive evaluation of RAM-lowered
+    /// rules.
     pub fn new() -> Engine {
         Engine {
             limits: EvalLimits::default(),
             strategy: FixpointStrategy::SemiNaive,
-            use_ram: true,
             cancel: None,
         }
     }
@@ -385,20 +380,6 @@ impl Engine {
     pub fn with_strategy(mut self, strategy: FixpointStrategy) -> Engine {
         self.strategy = strategy;
         self
-    }
-
-    /// Enable or disable the RAM lowering (`false` selects the legacy
-    /// tree-walking matcher — the `--no-ram` escape hatch used for
-    /// differential testing).  Output is identical either way; only the inner
-    /// rule-firing machinery changes.
-    pub fn with_ram(mut self, use_ram: bool) -> Engine {
-        self.use_ram = use_ram;
-        self
-    }
-
-    /// Whether rules fire through the RAM instruction interpreter.
-    pub fn ram_enabled(&self) -> bool {
-        self.use_ram
     }
 
     /// Attach a [`CancelToken`] the engine polls at every governor checkpoint.
@@ -466,7 +447,8 @@ impl Engine {
     }
 
     /// Like [`Engine::run_seeded`], additionally returning evaluation
-    /// statistics.
+    /// statistics.  [`FixpointStrategy::Naive`] runs the
+    /// [`crate::reference`] evaluator instead.
     ///
     /// # Errors
     /// Ill-formed programs, seed arity mismatches, and exceeded resource
@@ -477,6 +459,15 @@ impl Engine {
         input: &Instance,
         seeds: &[Fact],
     ) -> Result<(Instance, EvalStats), EvalError> {
+        if self.strategy == FixpointStrategy::Naive {
+            return crate::reference::run_with_stats_seeded(
+                program,
+                input,
+                seeds,
+                &self.limits,
+                self.cancel.clone(),
+            );
+        }
         let governor = ResourceGovernor::for_run(&self.limits, self.cancel.clone());
         let mut stats = EvalStats::default();
         match self.run_seeded_inner(program, input, seeds, &governor, &mut stats) {
@@ -557,7 +548,9 @@ impl Engine {
     /// for plain stratum evaluation the stratum's head relations, for an SCC
     /// scheduler the members of one strongly connected component.  A rule set
     /// that is non-recursive over `recursive_over` converges after its first
-    /// productive iteration plus one empty convergence round.
+    /// productive iteration plus one empty convergence round.  The loop is
+    /// always semi-naive; the [`FixpointStrategy`] only selects the whole-run
+    /// evaluator.
     ///
     /// # Errors
     /// Ill-formed rules and exceeded resource limits.
@@ -613,30 +606,15 @@ impl Engine {
         // them incrementally for the rest of the fixpoint.
         register_plan_indexes(plans.iter().map(|(_, p)| p), instance);
         // Lower each planned rule to its RAM procedure once per fixpoint (the
-        // plan *moves* into the procedure — no clone); the legacy matcher
-        // fires straight off the plans when RAM is disabled.
-        let rule_count = plans.len();
-        let (procs, plans): (Option<Vec<crate::ram::RuleProc>>, Vec<(&Rule, BodyPlan)>) =
-            if self.use_ram {
-                let procs = plans
-                    .into_iter()
-                    .map(|(rule, plan)| crate::ram::lower_rule(rule, plan, recursive_over))
-                    .collect();
-                (Some(procs), Vec::new())
-            } else {
-                (None, plans)
-            };
-        // For semi-naive firing: the plan positions (per rule) that match a
-        // relation driving the fixpoint.  Only instantiations using at least
-        // one delta fact can be new, so one restricted variant fires per
-        // position (precomputed by the lowering on the RAM path).
-        let delta_positions: Vec<Vec<usize>> = match &procs {
-            Some(procs) => procs.iter().map(|p| p.delta_positions.clone()).collect(),
-            None => plans
-                .iter()
-                .map(|(_, plan)| plan.delta_positions(recursive_over))
-                .collect(),
-        };
+        // plan *moves* into the procedure — no clone).  The lowering also
+        // precomputes each rule's delta positions: the plan positions that
+        // match a relation driving the fixpoint.  Only instantiations using at
+        // least one delta fact can be new, so one restricted variant fires per
+        // position.
+        let procs: Vec<crate::ram::RuleProc> = plans
+            .into_iter()
+            .map(|(rule, plan)| crate::ram::lower_rule(rule, plan, recursive_over))
+            .collect();
 
         // Semi-naive delta as *watermarks* into the insertion-ordered store: for
         // each fixpoint-driving relation, the id of the first tuple inserted in
@@ -652,7 +630,7 @@ impl Engine {
         let mut new_facts: Vec<Fact> = Vec::new();
         // One emit memo per rule, persisted across rounds: duplicate
         // derivations in later rounds are recognised in one probe.
-        let mut memos: Vec<EmitMemo> = (0..rule_count).map(|_| EmitMemo::new()).collect();
+        let mut memos: Vec<EmitMemo> = procs.iter().map(|_| EmitMemo::new()).collect();
         loop {
             if iteration >= self.limits.max_iterations {
                 return Err(EvalError::LimitExceeded {
@@ -665,94 +643,55 @@ impl Engine {
             // Fixpoint-round checkpoint (full: includes the store budget).
             seqdl_trace::instant("governor check");
             governor.check()?;
-            for (ix, positions) in delta_positions.iter().enumerate() {
-                let memo = &mut memos[ix];
-                let plan = match &procs {
-                    Some(procs) => &procs[ix].plan,
-                    None => &plans[ix].1,
-                };
-                // One dispatch point for both execution paths: the lowered RAM
-                // procedure when enabled, the legacy tree-walking matcher
-                // otherwise.
-                let fire = |window: Option<DeltaWindow>,
-                            memo: &mut EmitMemo,
-                            out: &mut Vec<Fact>|
-                 -> Result<FireStats, EvalError> {
-                    match &procs {
-                        Some(procs) => crate::ram::fire_proc(
-                            &procs[ix],
+            for (ix, (proc, memo)) in procs.iter().zip(&mut memos).enumerate() {
+                // One profiled pass: a rule span around the fire, counters
+                // into the per-rule profile keyed by (stratum, rule index).
+                let mut profiled =
+                    |window: Option<DeltaWindow>, stats: &mut EvalStats| -> Result<(), EvalError> {
+                        let _rule_span = seqdl_trace::span(|| format!("rule s{stratum_ix}r{ix}"));
+                        let buffered = new_facts.len();
+                        let pass_start = Instant::now();
+                        let fire_stats = crate::ram::fire_proc(
+                            proc,
                             instance,
                             window,
                             memo,
-                            out,
+                            &mut new_facts,
                             Some(governor),
-                        ),
-                        None => {
-                            let (rule, plan) = &plans[ix];
-                            fire_rule(rule, plan, instance, window, memo, out, Some(governor))
+                        )?;
+                        let wall = pass_start.elapsed();
+                        if seqdl_trace::enabled() {
+                            seqdl_trace::counter("index probes", fire_stats.index_probes as u64);
+                            seqdl_trace::counter("scans", fire_stats.scans as u64);
+                            seqdl_trace::counter("emits", fire_stats.firings as u64);
                         }
-                    }
-                };
-                let rule_ref: &Rule = match &procs {
-                    Some(procs) => &procs[ix].rule,
-                    None => plans[ix].0,
-                };
-                // One profiled pass: a rule span around the fire, counters
-                // into the per-rule profile keyed by (stratum, rule index).
-                let profiled = |window: Option<DeltaWindow>,
-                                memo: &mut EmitMemo,
-                                out: &mut Vec<Fact>,
-                                stats: &mut EvalStats|
-                 -> Result<(), EvalError> {
-                    let _rule_span = seqdl_trace::span(|| format!("rule s{stratum_ix}r{ix}"));
-                    let buffered = out.len();
-                    let pass_start = Instant::now();
-                    let fire_stats = fire(window, memo, out)?;
-                    let wall = pass_start.elapsed();
-                    if seqdl_trace::enabled() {
-                        seqdl_trace::counter("index probes", fire_stats.index_probes as u64);
-                        seqdl_trace::counter("scans", fire_stats.scans as u64);
-                        seqdl_trace::counter("emits", fire_stats.firings as u64);
-                    }
-                    stats.apply_rule_fire(
-                        stratum_ix,
-                        ix,
-                        || rule_ref.to_string(),
-                        fire_stats,
-                        wall,
-                        out.len() - buffered,
-                    );
-                    Ok(())
-                };
+                        stats.apply_rule_fire(
+                            stratum_ix,
+                            ix,
+                            || proc.rule.to_string(),
+                            fire_stats,
+                            wall,
+                            new_facts.len() - buffered,
+                        );
+                        Ok(())
+                    };
                 if iteration == 0 {
-                    profiled(None, memo, &mut new_facts, stats)?;
+                    profiled(None, stats)?;
                     continue;
                 }
-                match self.strategy {
-                    FixpointStrategy::Naive => {
-                        profiled(None, memo, &mut new_facts, stats)?;
+                for &pos in &proc.delta_positions {
+                    let r = proc.plan.predicate_at(pos)?.pred.relation;
+                    let hi = instance.relation(r).map_or(0, Relation::len);
+                    let lo = delta_start.get(&r).copied().unwrap_or(hi);
+                    // An empty delta at the restricted position cannot
+                    // contribute a new instantiation; skip the variant before
+                    // any earlier step does scan work.
+                    if lo >= hi {
+                        continue;
                     }
-                    FixpointStrategy::SemiNaive => {
-                        for &pos in positions {
-                            let r = plan.predicate_at(pos)?.pred.relation;
-                            let hi = instance.relation(r).map_or(0, Relation::len);
-                            let lo = delta_start.get(&r).copied().unwrap_or(hi);
-                            // An empty delta at the restricted position cannot
-                            // contribute a new instantiation; skip the variant
-                            // before any earlier step does scan work.
-                            if lo >= hi {
-                                continue;
-                            }
-                            // The sequential engine never splits a window.
-                            stats.note_shards(1);
-                            profiled(
-                                Some(DeltaWindow { pos, lo, hi }),
-                                memo,
-                                &mut new_facts,
-                                stats,
-                            )?;
-                        }
-                    }
+                    // The sequential engine never splits a window.
+                    stats.note_shards(1);
+                    profiled(Some(DeltaWindow { pos, lo, hi }), stats)?;
                 }
             }
 
@@ -973,366 +912,6 @@ impl EmitKey {
             _ => EmitKey::Heap(segs.into()),
         }
     }
-}
-
-/// Evaluate one rule against the instance, appending every derived head fact to
-/// `out` and returning the pass's [`FireStats`] (head instantiations plus
-/// index-probe/scan counters).  If a [`DeltaWindow`] is given, the predicate
-/// at that plan position only draws tuples with ids inside the window — the
-/// semi-naive delta restriction, shardable by a parallel executor.
-///
-/// Evaluation is a fully pipelined depth-first nested-loop join: a single
-/// valuation is threaded through every body step by backtracking, and the head
-/// is grounded at the innermost level, so no intermediate frontier of
-/// valuations is ever materialised.  The function only *reads* `instance`, so
-/// independent calls may run concurrently on shared references.  `memo` is
-/// the rule's [`EmitMemo`]; passing a fresh one is always correct (it only
-/// short-circuits duplicate emissions), reusing one across the rounds of a
-/// fixpoint is what makes duplicate-heavy workloads cheap.
-///
-/// `governor`, when given, is polled once every
-/// [`GOVERNOR_CHECK_INTERVAL`] candidate tuples, so a single firing pass over
-/// a huge relation still observes deadlines and cancellation.
-///
-/// # Errors
-/// Unsafe rules surface as [`EvalError::Unplannable`]; cancellation as
-/// [`EvalError::Cancelled`].
-pub fn fire_rule(
-    rule: &Rule,
-    plan: &BodyPlan,
-    instance: &Instance,
-    window: Option<DeltaWindow>,
-    memo: &mut EmitMemo,
-    out: &mut Vec<Fact>,
-    governor: Option<&ResourceGovernor>,
-) -> Result<FireStats, EvalError> {
-    let head = &rule.head;
-    // Errors discovered inside the enumeration (an unsafe rule reaching a
-    // step with unbound variables) land here; the sink-based matchers have no
-    // return channel.  Errors are fatal, so finishing the walk first is fine.
-    let err: RefCell<Option<EvalError>> = RefCell::new(None);
-    let counters: Cell<FireStats> = Cell::new(FireStats::default());
-    let mut firings = 0usize;
-    let mut memo_hits = 0usize;
-    let mut nu = Valuation::new();
-    // Read-only view of the head's relation for emit-time deduplication:
-    // firings that re-derive a fact already in the instance are counted but
-    // never buffered, so they cost no allocation and no merge work.  `absorb`
-    // stays the authority — facts first derived within this same pass are
-    // still deduplicated there.
-    let head_relation = instance
-        .relation(head.relation)
-        .filter(|r| r.arity() == head.args.len());
-    let term_counts: Vec<usize> = head.args.iter().map(|a| a.terms().len()).collect();
-    // Resolve every positive-predicate step's relation once per pass: the
-    // instance is frozen for the duration of the call, so per-candidate
-    // B-tree lookups are wasted work.
-    let step_relations: Vec<Option<&Relation>> = plan
-        .steps
-        .iter()
-        .map(|s| match s {
-            PlannedLiteral::MatchPredicate(p) => instance
-                .relation(p.pred.relation)
-                .filter(|r| r.arity() == p.pred.args.len()),
-            _ => None,
-        })
-        .collect();
-    let mut tuple_scratch: Tuple = Vec::with_capacity(head.args.len());
-    let mut seg_scratch: Vec<seqdl_core::Segment> = Vec::new();
-    let mut emit = |nu: &mut Valuation| {
-        seg_scratch.clear();
-        for arg in &head.args {
-            if nu.segments_into(arg, &mut seg_scratch).is_none() {
-                err.borrow_mut()
-                    .get_or_insert_with(|| EvalError::Unplannable {
-                        rule: rule.to_string(),
-                    });
-                return;
-            }
-        }
-        firings += 1;
-        // One probe on the segment identity answers "derived this before?"
-        // without grounding a single path.
-        match memo.seen.entry(EmitKey::from_slice(&seg_scratch)) {
-            std::collections::hash_map::Entry::Occupied(_) => {
-                memo_hits += 1;
-                return;
-            }
-            std::collections::hash_map::Entry::Vacant(slot) => {
-                slot.insert(());
-            }
-        }
-        tuple_scratch.clear();
-        let mut offset = 0usize;
-        for &n in &term_counts {
-            tuple_scratch.push(Path::from_segments(&seg_scratch[offset..offset + n]));
-            offset += n;
-        }
-        if head_relation.is_some_and(|r| r.contains(&tuple_scratch)) {
-            return;
-        }
-        out.push(Fact::new(head.relation, tuple_scratch.clone()));
-    };
-    let ticks = Cell::new(0usize);
-    eval_steps(
-        &plan.steps,
-        0,
-        instance,
-        &step_relations,
-        window,
-        rule,
-        &mut nu,
-        &err,
-        &counters,
-        governor,
-        &ticks,
-        &mut emit,
-    );
-    match err.into_inner() {
-        Some(e) => Err(e),
-        None => {
-            let mut stats = counters.get();
-            stats.firings = firings;
-            stats.emit_memo_hits = memo_hits;
-            Ok(stats)
-        }
-    }
-}
-
-/// Run the body steps `steps[0..]` (at absolute plan offset `base_ix`) against
-/// `instance` under the partial valuation `nu`, calling `emit` once per valuation
-/// that satisfies the whole remaining body.  Backtracks on `nu` in place.
-#[allow(clippy::too_many_arguments)]
-fn eval_steps(
-    steps: &[PlannedLiteral],
-    base_ix: usize,
-    instance: &Instance,
-    step_relations: &[Option<&Relation>],
-    window: Option<DeltaWindow>,
-    rule: &Rule,
-    nu: &mut Valuation,
-    err: &RefCell<Option<EvalError>>,
-    counters: &Cell<FireStats>,
-    governor: Option<&ResourceGovernor>,
-    ticks: &Cell<usize>,
-    emit: &mut dyn FnMut(&mut Valuation),
-) {
-    if err.borrow().is_some() {
-        return;
-    }
-    let unplannable = || EvalError::Unplannable {
-        rule: rule.to_string(),
-    };
-    let Some((step, rest)) = steps.split_first() else {
-        emit(nu);
-        return;
-    };
-    match step {
-        PlannedLiteral::MatchPredicate(planned) => {
-            let pred = &planned.pred;
-            // An absent or arity-mismatched relation has no matching tuples
-            // (pre-resolved once per pass): the positive match fails outright.
-            let Some(relation) = step_relations[base_ix] else {
-                return;
-            };
-            // Tuples outside the delta window are excluded at the restricted
-            // position; everywhere else the full store is visible.
-            let (first_id, last_id) = match window {
-                Some(w) if w.pos == base_ix => (w.lo.min(relation.len()), w.hi.min(relation.len())),
-                _ => (0, relation.len()),
-            };
-            let tuples = relation.as_slice();
-            let mut cont = |nu: &mut Valuation| {
-                // The last body step emits directly — no recursion frame and
-                // no re-dispatch for the by far most frequent continuation.
-                if rest.is_empty() {
-                    if err.borrow().is_none() {
-                        emit(nu);
-                    }
-                    return;
-                }
-                eval_steps(
-                    rest,
-                    base_ix + 1,
-                    instance,
-                    step_relations,
-                    window,
-                    rule,
-                    nu,
-                    err,
-                    counters,
-                    governor,
-                    ticks,
-                    &mut *emit,
-                );
-            };
-            // Flat predicates (constants and atomic variables only) match in
-            // one non-recursive pass with a single continuation call; the
-            // general matcher handles everything else.
-            let mut handle = |tuple: &seqdl_core::Tuple, nu: &mut Valuation| {
-                // An error (including a cancellation recorded below) aborts
-                // the walk: remaining candidates fall through cheaply.
-                if err.borrow().is_some() {
-                    return;
-                }
-                // Amortised governor checkpoint, one cheap check per
-                // GOVERNOR_CHECK_INTERVAL candidate tuples: a firing pass
-                // over a huge relation cannot outrun the deadline unobserved.
-                let t = ticks.get().wrapping_add(1);
-                ticks.set(t);
-                if t.is_multiple_of(GOVERNOR_CHECK_INTERVAL) {
-                    if let Some(g) = governor {
-                        if let Err(e) = g.check_fast() {
-                            err.borrow_mut().get_or_insert(e);
-                            return;
-                        }
-                    }
-                }
-                if planned.flat {
-                    let mut newly = [None; crate::plan::FLAT_MAX_VARS];
-                    if let Some(n) = match_predicate_flat(&pred.args, tuple, nu, &mut newly) {
-                        cont(nu);
-                        for v in newly[..n].iter().rev().flatten() {
-                            nu.pop_binding(*v);
-                        }
-                    }
-                } else {
-                    match_predicate_sink(pred, tuple, nu, &mut cont);
-                }
-            };
-            match choose_candidates(relation, planned, nu) {
-                Some(chosen) => {
-                    bump(counters, |c| c.index_probes += 1);
-                    match chosen.list {
-                        CandList::Entries(entries) => {
-                            let lo = entries.partition_point(|e| (e.id as usize) < first_id);
-                            let hi = entries.partition_point(|e| (e.id as usize) < last_id);
-                            let window = &entries[lo..hi];
-                            // Bucket-side matching: for unary flat patterns
-                            // whose trie bucket consumed the whole resolved
-                            // prefix, the entry's length and next-value decide
-                            // the match — a sequential walk with no tuple
-                            // dereference at all.
-                            let bucket_side = planned.extend.filter(|_| {
-                                chosen.trie_col == Some((0, planned.probes[0].sources.len()))
-                            });
-                            match bucket_side {
-                                Some(None) => {
-                                    let n = planned.probes[0].sources.len() as u32;
-                                    for e in window {
-                                        if e.len == n {
-                                            cont(nu);
-                                        }
-                                    }
-                                }
-                                Some(Some(v)) => {
-                                    let n = planned.probes[0].sources.len() as u32;
-                                    for e in window {
-                                        if e.len == n + 1 {
-                                            if let Some(b) = e.next_atom() {
-                                                nu.bind_new(v, Binding::Atom(b));
-                                                cont(nu);
-                                                nu.pop_binding(v);
-                                            }
-                                        }
-                                    }
-                                }
-                                None => {
-                                    for e in window {
-                                        handle(&tuples[e.id as usize], nu);
-                                    }
-                                }
-                            }
-                        }
-                        CandList::Ids(ids) => {
-                            let lo = ids.partition_point(|&id| (id as usize) < first_id);
-                            let hi = ids.partition_point(|&id| (id as usize) < last_id);
-                            for &id in &ids[lo..hi] {
-                                handle(&tuples[id as usize], nu);
-                            }
-                        }
-                    }
-                }
-                None => {
-                    bump(counters, |c| c.scans += 1);
-                    for tuple in &tuples[first_id..last_id] {
-                        handle(tuple, nu);
-                    }
-                }
-            }
-        }
-        PlannedLiteral::SolveEquation(eq) => match match_equation(eq, nu) {
-            Some(extensions) => {
-                for mut ext in extensions {
-                    eval_steps(
-                        rest,
-                        base_ix + 1,
-                        instance,
-                        step_relations,
-                        window,
-                        rule,
-                        &mut ext,
-                        err,
-                        counters,
-                        governor,
-                        ticks,
-                        emit,
-                    );
-                }
-            }
-            None => {
-                err.borrow_mut().get_or_insert_with(unplannable);
-            }
-        },
-        PlannedLiteral::CheckNegatedPredicate(pred) => {
-            let Some(tuple) = ground_tuple(pred, nu) else {
-                err.borrow_mut().get_or_insert_with(unplannable);
-                return;
-            };
-            if !instance.contains_fact(&Fact::new(pred.relation, tuple)) {
-                eval_steps(
-                    rest,
-                    base_ix + 1,
-                    instance,
-                    step_relations,
-                    window,
-                    rule,
-                    nu,
-                    err,
-                    counters,
-                    governor,
-                    ticks,
-                    emit,
-                );
-            }
-        }
-        PlannedLiteral::CheckNegatedEquation(eq) => match equation_holds(eq, nu) {
-            Some(false) => eval_steps(
-                rest,
-                base_ix + 1,
-                instance,
-                step_relations,
-                window,
-                rule,
-                nu,
-                err,
-                counters,
-                governor,
-                ticks,
-                emit,
-            ),
-            Some(true) => {}
-            None => {
-                err.borrow_mut().get_or_insert_with(unplannable);
-            }
-        },
-    }
-}
-
-fn bump(counters: &Cell<FireStats>, f: impl FnOnce(&mut FireStats)) {
-    let mut c = counters.get();
-    f(&mut c);
-    counters.set(c);
 }
 
 /// A placeholder for value buffers (never read before being overwritten).

@@ -13,9 +13,13 @@
 //!   variables first, positive equations are evaluated once one side is ground
 //!   (which rule safety guarantees is always eventually possible), and negated
 //!   literals are checked last;
-//! * [`eval`] — naive and semi-naive fixpoint evaluation with explicit
-//!   [`EvalLimits`], so that non-terminating programs (such as Example 2.3 of the
-//!   paper) surface as [`EvalError::LimitExceeded`] instead of diverging.
+//! * [`eval`] — semi-naive fixpoint evaluation of the planned rules, lowered to
+//!   [`ram`] instruction programs, with explicit [`EvalLimits`], so that
+//!   non-terminating programs (such as Example 2.3 of the paper) surface as
+//!   [`EvalError::LimitExceeded`] instead of diverging;
+//! * [`reference`] — a naive fixpoint over full scans that follows Section 2.3
+//!   directly: the oracle the optimised evaluators are tested against, and
+//!   what [`FixpointStrategy::Naive`] runs.
 //!
 //! The top-level entry point is [`Engine`]:
 //!
@@ -41,13 +45,14 @@ pub mod eval;
 pub mod matching;
 pub mod plan;
 pub mod ram;
+pub mod reference;
 pub mod stats_json;
 
 pub use error::{EvalError, LimitKind};
 pub use eval::{
-    fire_rule, prepare_idb_instance, register_plan_indexes, restrict_head_indexes, seed_instance,
-    DeltaWindow, EmitMemo, Engine, EvalLimits, EvalStats, FireStats, FixpointStrategy,
-    ResourceGovernor, RuleStats, StratumStats, GOVERNOR_CHECK_INTERVAL,
+    prepare_idb_instance, register_plan_indexes, restrict_head_indexes, seed_instance, DeltaWindow,
+    EmitMemo, Engine, EvalLimits, EvalStats, FireStats, FixpointStrategy, ResourceGovernor,
+    RuleStats, StratumStats, GOVERNOR_CHECK_INTERVAL,
 };
 pub use plan::{plan_rule, BodyPlan, ColumnProbe, PlannedLiteral, PlannedPredicate, PrefixSource};
 pub use ram::{fire_proc, RuleProc};

@@ -8,11 +8,12 @@
 //! entry and backtracks by truncating to it — no recursion frames, no
 //! continuation closures, no interior-mutability error channel.
 //!
-//! Candidate enumeration is byte-for-byte the legacy matcher's: the same
-//! [`choose_candidates`] index selection, the same delta-window clamping and
-//! `partition_point` slicing, the same bucket-side fast path, and the same
-//! flat/general matchers — so the machine derives exactly the same facts in
-//! exactly the same order, which the differential property tests pin down.
+//! Candidates come from [`choose_candidates`]: the smallest index bucket the
+//! bound values allow, clamped to the delta window by `partition_point`
+//! slicing, with a bucket-side fast path for unary flat patterns; each
+//! candidate is matched by the flat or the general associative matcher.  The
+//! differential property tests pin the derived facts to those of the
+//! [`crate::reference`] evaluator.
 
 use crate::error::EvalError;
 use crate::eval::{
@@ -117,9 +118,8 @@ impl<'r> Frame<'r> {
         }
     }
 
-    /// (Re-)initialise this frame for a probe of `planned` over `relation`,
-    /// with the same index selection, window clamping, and bucket-side
-    /// eligibility as the legacy matcher.
+    /// (Re-)initialise this frame for a probe of `planned` over `relation`:
+    /// index selection, window clamping, and bucket-side eligibility.
     #[allow(clippy::too_many_arguments)]
     fn enter_probe(
         &mut self,
@@ -216,9 +216,9 @@ impl<'r> Frame<'r> {
     }
 
     /// Clamp a chosen candidate list to the `[first_id, last_id)` window
-    /// and install it, deciding bucket-side eligibility — the legacy
-    /// matcher's logic verbatim.  The full-range case (no window on this
-    /// step) skips the `partition_point` searches outright.
+    /// and install it, deciding bucket-side eligibility.  The full-range case
+    /// (no window on this step) skips the `partition_point` searches
+    /// outright.
     fn apply_chosen(
         &mut self,
         chosen: Chosen<'r>,
@@ -430,8 +430,7 @@ fn plan_invariant(step: usize, expected: &str) -> EvalError {
 }
 
 /// Ground the head under `nu`, deduplicate through the memo, and append
-/// genuinely new facts — identical to the legacy `fire_rule` emit closure but
-/// with a direct error return.
+/// genuinely new facts.
 #[allow(clippy::too_many_arguments)]
 fn emit_head(
     rule: &Rule,
@@ -508,11 +507,15 @@ fn predicate_of(proc: &RuleProc, step: usize) -> Result<&PlannedPredicate, EvalE
     }
 }
 
-/// The probe predicate trailed at choice point `cp`, resolved through the
 /// Execute one lowered rule procedure against the instance, appending derived
-/// head facts to `out` — the RAM twin of [`crate::eval::fire_rule`], sharing
-/// its window semantics, emit memo, and counter meanings, plus the RAM-only
-/// `instructions`/`fused_probes` counters.
+/// head facts to `out` and returning the pass's [`FireStats`].  If a
+/// [`DeltaWindow`] is given, the predicate at that plan position only draws
+/// tuples with ids inside the window — the semi-naive delta restriction,
+/// shardable by a parallel executor.  The function only *reads* `instance`,
+/// so independent calls may run concurrently on shared references.  `memo`
+/// is the rule's [`EmitMemo`]; passing a fresh one is always correct (it only
+/// short-circuits duplicate emissions), and reusing one across the rounds of
+/// a fixpoint is what makes duplicate-heavy workloads cheap.
 ///
 /// `governor`, when given, is polled once every
 /// [`crate::eval::GOVERNOR_CHECK_INTERVAL`] dispatched instructions — an

@@ -7,9 +7,8 @@
 //! its emit — and arranges each stratum's procedures into per-level merge
 //! sections (run once) and fixpoint loops (one per recursive component).
 //! Execution ([`fire_proc`]) walks the instruction sequence with an explicit
-//! frame-per-choice-point machine that enumerates exactly the same candidates
-//! in exactly the same order as the legacy recursive matcher, so both
-//! evaluators can swap it in behind `--no-ram` without observable change.
+//! frame-per-choice-point machine; both evaluators (the engine's stratum
+//! fixpoint and the parallel executor) fire every rule through it.
 
 pub mod interp;
 pub mod ir;

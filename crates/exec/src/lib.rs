@@ -53,9 +53,8 @@ use seqdl_core::{Fact, Instance, RelName, Relation};
 use seqdl_engine::error::LimitKind;
 use seqdl_engine::ram::{self, RuleProc};
 use seqdl_engine::{
-    fire_proc, fire_rule, plan_rule, prepare_idb_instance, register_plan_indexes, BodyPlan,
-    DeltaWindow, EmitMemo, Engine, EvalError, EvalStats, FireStats, FixpointStrategy,
-    ResourceGovernor, StratumStats,
+    fire_proc, prepare_idb_instance, register_plan_indexes, DeltaWindow, EmitMemo, Engine,
+    EvalError, EvalStats, FireStats, FixpointStrategy, ResourceGovernor, StratumStats,
 };
 use seqdl_syntax::Program;
 use seqdl_syntax::{ProgramInfo, Rule, Stratum};
@@ -163,10 +162,8 @@ struct Job<'a> {
     /// Index of the rule within its stratum's rule list — the per-rule
     /// profile key shard jobs are merged under.
     rule_ix: usize,
-    rule: &'a Rule,
-    plan: &'a BodyPlan,
-    /// The rule's lowered RAM procedure; `None` runs the legacy matcher.
-    proc: Option<&'a RuleProc>,
+    /// The rule's lowered RAM procedure.
+    proc: &'a RuleProc,
     window: Option<DeltaWindow>,
 }
 
@@ -211,7 +208,7 @@ fn run_job(
         format!(
             "rule r{} {}{}",
             job.rule_ix,
-            job.rule.head.relation,
+            job.proc.rule.head.relation,
             match job.window {
                 Some(w) => format!(" Δ{}..{}", w.lo, w.hi),
                 None => String::new(),
@@ -226,25 +223,14 @@ fn run_job(
         // Jobs are independent work units, so each gets a fresh emit memo; it
         // still collapses duplicate derivations within the job's delta shard.
         let mut memo = EmitMemo::new();
-        match job.proc {
-            Some(proc) => fire_proc(
-                proc,
-                instance,
-                job.window,
-                &mut memo,
-                &mut out,
-                Some(governor),
-            ),
-            None => fire_rule(
-                job.rule,
-                job.plan,
-                instance,
-                job.window,
-                &mut memo,
-                &mut out,
-                Some(governor),
-            ),
-        }
+        fire_proc(
+            job.proc,
+            instance,
+            job.window,
+            &mut memo,
+            &mut out,
+            Some(governor),
+        )
         .map(|fire| (out, fire))
     }))
     .unwrap_or_else(|panic| {
@@ -255,7 +241,7 @@ fn run_job(
             .unwrap_or_else(|| "worker panicked".to_string());
         poison.set();
         Err(EvalError::WorkerPanic {
-            rule: job.rule.to_string(),
+            rule: job.proc.rule.to_string(),
             detail,
         })
     });
@@ -441,7 +427,8 @@ impl Executor {
     }
 
     /// Like [`Executor::run_seeded`], additionally returning evaluation
-    /// statistics.
+    /// statistics.  [`FixpointStrategy::Naive`] runs the
+    /// [`seqdl_engine::reference`] evaluator instead.
     ///
     /// # Errors
     /// Ill-formed programs, seed arity mismatches, and exceeded resource
@@ -452,37 +439,37 @@ impl Executor {
         input: &Instance,
         seeds: &[Fact],
     ) -> Result<(Instance, EvalStats), EvalError> {
+        if self.engine.strategy() == FixpointStrategy::Naive {
+            return seqdl_engine::reference::run_with_stats_seeded(
+                program,
+                input,
+                seeds,
+                &self.engine.limits(),
+                self.engine.cancel_token().cloned(),
+            );
+        }
         let info = ProgramInfo::analyse(program)?;
         let mut instance = prepare_idb_instance(&info, input)?;
         seqdl_engine::seed_instance(&mut instance, seeds)?;
         let schedule = Schedule::of_program(program);
-        // Plan every rule up front: jobs borrow the plans for the lifetime of
-        // the worker pool.
-        let plans: Vec<Vec<BodyPlan>> = program
-            .strata
-            .iter()
-            .map(|s| s.rules.iter().map(plan_rule).collect::<Result<Vec<_>, _>>())
-            .collect::<Result<_, _>>()?;
+        // Plan and lower the whole program to RAM up front: jobs borrow the
+        // procedures for the lifetime of the worker pool.  The lowering
+        // derives its fixpoint scopes from the same precedence-graph
+        // condensation as the schedule, so delta positions agree exactly.
+        let lowered = ram::lower(program)?;
+        let plans = || {
+            lowered
+                .strata
+                .iter()
+                .flat_map(|s| s.procs.iter().map(|p| &p.plan))
+        };
         // Register the planner-selected multi-column indexes before the pool
         // starts: workers only ever read the instance, and inserts (which all
         // happen under the driver's write lock) maintain the indexes.
-        register_plan_indexes(plans.iter().flatten(), &mut instance);
+        register_plan_indexes(plans(), &mut instance);
         // Derived relations keep only the column tries some plan can probe;
         // every other column stops paying per-insert indexing.
-        seqdl_engine::restrict_head_indexes(
-            info.idb.iter().copied(),
-            plans.iter().flatten(),
-            &mut instance,
-        );
-        // Lower the whole program to RAM up front (unless disabled): jobs
-        // borrow the procedures for the lifetime of the worker pool.  The
-        // lowering derives its fixpoint scopes from the same precedence-graph
-        // condensation as the schedule, so delta positions agree exactly.
-        let lowered: Option<ram::Program> = self
-            .engine
-            .ram_enabled()
-            .then(|| ram::lower(program))
-            .transpose()?;
+        seqdl_engine::restrict_head_indexes(info.idb.iter().copied(), plans(), &mut instance);
         let mut stats = EvalStats::default();
         let threads = self.effective_threads();
         let shard = ShardPolicy {
@@ -511,8 +498,7 @@ impl Executor {
                 &ctx,
                 &program.strata,
                 &schedule,
-                &plans,
-                lowered.as_ref(),
+                &lowered,
                 &lock,
                 &mut stats,
                 |jobs| {
@@ -544,8 +530,7 @@ impl Executor {
                     &ctx,
                     &program.strata,
                     &schedule,
-                    &plans,
-                    lowered.as_ref(),
+                    &lowered,
                     &lock,
                     &mut stats,
                     |jobs| {
@@ -672,29 +657,29 @@ fn drive<'a>(
     ctx: &RunCtx<'_>,
     strata: &'a [Stratum],
     schedule: &Schedule,
-    plans: &'a [Vec<BodyPlan>],
-    lowered: Option<&'a ram::Program>,
+    lowered: &'a ram::Program,
     instance: &RwLock<Instance>,
     stats: &mut EvalStats,
     mut round: impl FnMut(Vec<Job<'a>>) -> Vec<JobOutcome>,
 ) -> Result<(), EvalError> {
-    for (si, ((stratum, sched), stratum_plans)) in
-        strata.iter().zip(&schedule.strata).zip(plans).enumerate()
+    for (si, ((stratum, sched), lowered)) in strata
+        .iter()
+        .zip(&schedule.strata)
+        .zip(&lowered.strata)
+        .enumerate()
     {
         let _stratum_span = seqdl_trace::span(|| format!("stratum {si}"));
         // Stratum boundary: the full governor check — cancellation, deadline,
         // and the store byte budget — runs before any job is scheduled.
         seqdl_trace::instant("governor check");
         ctx.governor.check()?;
-        let procs: Option<&'a [RuleProc]> = lowered.map(|l| l.strata[si].procs.as_slice());
         let start = Instant::now();
         let before = (stats.iterations, stats.derived_facts, stats.rule_firings);
         let attempt = run_stratum(
             ctx,
             stratum,
             sched,
-            stratum_plans,
-            procs,
+            &lowered.procs,
             instance,
             stats,
             &mut round,
@@ -744,8 +729,7 @@ fn run_stratum<'a>(
     ctx: &RunCtx<'_>,
     stratum: &'a Stratum,
     sched: &StratumSchedule,
-    stratum_plans: &'a [BodyPlan],
-    procs: Option<&'a [RuleProc]>,
+    procs: &'a [RuleProc],
     instance: &RwLock<Instance>,
     stats: &mut EvalStats,
     round: &mut impl FnMut(Vec<Job<'a>>) -> Vec<JobOutcome>,
@@ -767,9 +751,7 @@ fn run_stratum<'a>(
                 jobs.push(Job {
                     id: jobs.len(),
                     rule_ix,
-                    rule: &stratum.rules[rule_ix],
-                    plan: &stratum_plans[rule_ix],
-                    proc: procs.map(|p| &p[rule_ix]),
+                    proc: &procs[rule_ix],
                     window: None,
                 });
             }
@@ -797,7 +779,6 @@ fn run_stratum<'a>(
             fixpoint_group(
                 ctx,
                 stratum,
-                stratum_plans,
                 procs,
                 &recursive,
                 &mut rounds,
@@ -813,10 +794,8 @@ fn run_stratum<'a>(
 /// Per-component fixpoint state inside a lock-step group.
 struct ComponentState<'a, 'c> {
     component: &'c Component,
-    /// `(stratum-relative rule index, rule, plan, proc)` per component rule.
-    rules: Vec<(usize, &'a Rule, &'a BodyPlan, Option<&'a RuleProc>)>,
-    /// Per rule: the plan positions that draw from this component's delta.
-    delta_positions: Vec<Vec<usize>>,
+    /// `(stratum-relative rule index, proc)` per component rule.
+    rules: Vec<(usize, &'a RuleProc)>,
     /// Watermark per component relation: its length at the previous iteration
     /// boundary.
     delta_start: BTreeMap<RelName, usize>,
@@ -835,35 +814,25 @@ struct ComponentState<'a, 'c> {
 fn fixpoint_group<'a, R: FnMut(Vec<Job<'a>>) -> Vec<JobOutcome>>(
     ctx: &RunCtx<'_>,
     stratum: &'a Stratum,
-    plans: &'a [BodyPlan],
-    procs: Option<&'a [RuleProc]>,
+    procs: &'a [RuleProc],
     components: &[&Component],
     rounds: &mut usize,
     instance: &RwLock<Instance>,
     stats: &mut EvalStats,
     round: &mut R,
 ) -> Result<(), EvalError> {
-    let naive = ctx.engine.strategy() == FixpointStrategy::Naive;
     let mut states: Vec<ComponentState<'a, '_>> = components
         .iter()
-        .map(|component| {
-            let rules: Vec<(usize, &'a Rule, &'a BodyPlan, Option<&'a RuleProc>)> = component
+        .map(|component| ComponentState {
+            component,
+            rules: component
                 .rule_indices
                 .iter()
-                .map(|&i| (i, &stratum.rules[i], &plans[i], procs.map(|p| &p[i])))
-                .collect();
-            let delta_positions = rules
-                .iter()
-                .map(|(_, _, plan, _)| plan.delta_positions(&component.relations))
-                .collect();
-            ComponentState {
-                component,
-                rules,
-                delta_positions,
-                delta_start: BTreeMap::new(),
-                iteration: 0,
-                active: true,
-            }
+                .map(|&i| (i, &procs[i]))
+                .collect(),
+            delta_start: BTreeMap::new(),
+            iteration: 0,
+            active: true,
         })
         .collect();
 
@@ -882,24 +851,20 @@ fn fixpoint_group<'a, R: FnMut(Vec<Job<'a>>) -> Vec<JobOutcome>>(
         {
             let guard = instance.read();
             for state in states.iter().filter(|s| s.active) {
-                if state.iteration == 0 || naive {
-                    for &(rule_ix, rule, plan, proc) in &state.rules {
+                if state.iteration == 0 {
+                    for &(rule_ix, proc) in &state.rules {
                         jobs.push(Job {
                             id: jobs.len(),
                             rule_ix,
-                            rule,
-                            plan,
                             proc,
                             window: None,
                         });
                     }
                     continue;
                 }
-                for (&(rule_ix, rule, plan, proc), positions) in
-                    state.rules.iter().zip(&state.delta_positions)
-                {
-                    for &pos in positions {
-                        let relation = plan.predicate_at(pos)?.pred.relation;
+                for &(rule_ix, proc) in &state.rules {
+                    for &pos in &proc.delta_positions {
+                        let relation = proc.plan.predicate_at(pos)?.pred.relation;
                         let hi = guard.relation(relation).map_or(0, Relation::len);
                         let lo = state.delta_start.get(&relation).copied().unwrap_or(hi);
                         if lo >= hi {
@@ -915,8 +880,6 @@ fn fixpoint_group<'a, R: FnMut(Vec<Job<'a>>) -> Vec<JobOutcome>>(
                             jobs.push(Job {
                                 id: jobs.len(),
                                 rule_ix,
-                                rule,
-                                plan,
                                 proc,
                                 window: Some(DeltaWindow {
                                     pos,

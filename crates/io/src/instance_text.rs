@@ -416,6 +416,17 @@ mod tests {
         }
     }
 
+    /// A random instance over [`ATOMS`], packed values included.
+    struct Instances;
+
+    impl Strategy for Instances {
+        type Value = Instance;
+
+        fn generate(&self, rng: &mut TestRng) -> Instance {
+            random_instance(rng)
+        }
+    }
+
     fn assert_same_instance_result(text: &str) {
         match (parse_instance(text), oracle_parse_instance(text)) {
             (Ok(new), Ok(old)) => assert_eq!(new, old, "{text:?}"),
@@ -425,6 +436,13 @@ mod tests {
     }
 
     proptest! {
+        #[test]
+        fn written_instances_parse_back_unchanged(instance in Instances) {
+            let text = write_instance(&instance);
+            let parsed = parse_instance(&text);
+            prop_assert_eq!(parsed.as_ref().ok(), Some(&instance), "{}\n{:?}", text, parsed);
+        }
+
         #[test]
         fn ground_fact_reader_agrees_with_the_rule_parser(case in InstanceLines) {
             let (lines, mutants) = case;

@@ -24,7 +24,8 @@
 //! concat ::= "·" | "*" | "."
 //! item   ::= ident | quoted | "eps" | "ε" | "<" [ expr ] ">" | "⟨" [ expr ] "⟩"
 //! ident  ::= a nonempty run of ASCII letters, digits and "_", other than "eps"
-//! quoted ::= "'" { any character but "'", or the escape "\'" } "'"
+//! quoted ::= "'" { any character but "'" and "\", or an escape } "'"
+//! escape ::= "\'" (for "'") | "\\" (for "\") | "\" before any other character (itself)
 //! ```
 //!
 //! So `R(a·b·c).`, `D(q0, a, q1).`, `T(<a·b>·c).`, `Log('has space'·'eps').`,
@@ -39,7 +40,7 @@
 //!
 //! [`write_instance`] writes this format: declarations first, then one fact per
 //! line, with `·`, `eps`, and single quotes around every atom that is not an
-//! identifier.  [`parse_instance`] reads it back, including packed values.
+//! identifier (escaping its `'` and `\`).  [`parse_instance`] reads it back, including packed values.
 //!
 //! ## Program files (`.sdl`)
 //!

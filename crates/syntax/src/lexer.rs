@@ -10,8 +10,8 @@ use std::borrow::Cow;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Tok<'a> {
     Ident(&'a str),
-    /// The text between the quotes of a quoted atom, `\'` escapes not yet
-    /// undone (see [`unquote`]).
+    /// The text between the quotes of a quoted atom, `\'` and `\\` escapes
+    /// not yet undone (see [`unquote`]).
     Quoted(&'a str),
     AtomVar(&'a str),
     PathVar(&'a str),
@@ -47,13 +47,24 @@ pub fn is_identifier(name: &str) -> bool {
     !name.is_empty() && name.bytes().all(is_ident_byte) && name != "eps"
 }
 
-/// The atom name a [`Tok::Quoted`] token denotes: `\'` stands for `'`.
+/// The atom name a [`Tok::Quoted`] token denotes: `\'` stands for `'` and
+/// `\\` for `\`; any other `\` stands for itself.
 pub(crate) fn unquote(raw: &str) -> Cow<'_, str> {
-    if raw.contains("\\'") {
-        Cow::Owned(raw.replace("\\'", "'"))
-    } else {
-        Cow::Borrowed(raw)
+    if !raw.contains('\\') {
+        return Cow::Borrowed(raw);
     }
+    let mut out = String::with_capacity(raw.len());
+    let mut chars = raw.chars().peekable();
+    while let Some(c) = chars.next() {
+        match (c, chars.peek()) {
+            ('\\', Some(&next @ ('\'' | '\\'))) => {
+                out.push(next);
+                chars.next();
+            }
+            _ => out.push(c),
+        }
+    }
+    Cow::Owned(out)
 }
 
 /// Tokenize all of `input`.
@@ -177,7 +188,9 @@ impl<'a> Lexer<'a> {
                                     message: "unterminated quoted atom".into(),
                                 })
                             }
-                            Some(b'\\') if bytes.get(end + 1) == Some(&b'\'') => end += 2,
+                            Some(b'\\') if matches!(bytes.get(end + 1), Some(b'\'' | b'\\')) => {
+                                end += 2
+                            }
                             Some(b'\'') => break,
                             Some(_) => end += 1,
                         }
@@ -262,6 +275,16 @@ mod tests {
         // `·` is two bytes, `$` starts right after it.
         assert_eq!(spans[4].offset, 5);
         assert_eq!(unquote("it\\'s"), "it's");
+    }
+
+    #[test]
+    fn backslashes_escape_quotes_and_themselves() {
+        // `'end\\'` is the atom `end\`; a lone `\` before another character
+        // stands for itself.
+        assert_eq!(toks("'end\\\\'"), [Tok::Quoted("end\\\\")]);
+        assert_eq!(unquote("end\\\\"), "end\\");
+        assert_eq!(unquote("a\\b\\\\\\'"), "a\\b\\'");
+        assert!(lex("'end\\'").is_err(), "`\\'` does not close the atom");
     }
 
     #[test]

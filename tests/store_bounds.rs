@@ -13,7 +13,7 @@
 //! is process-global, so the byte accounting must not share a process with
 //! unrelated tests.
 
-use sequence_datalog::engine::Engine;
+use sequence_datalog::engine::{reference, Engine};
 use sequence_datalog::prelude::{parse_program, rel, repeat_path, Instance};
 
 #[test]
@@ -24,15 +24,15 @@ fn rejected_prefix_cuts_do_not_grow_the_store() {
     let input = Instance::unary(rel("R"), [repeat_path("a", L)]);
 
     let before = sequence_datalog::core::store_stats();
-    // Run through both execution paths: the RAM interpreter and the legacy
-    // tree-walking matcher both enumerate the adversarial cuts.
+    // Run through both matchers: the RAM interpreter and the reference
+    // evaluator both enumerate the adversarial cuts.
     let out_ram = Engine::new().run(&program, &input).unwrap();
-    let out_legacy = Engine::new().with_ram(false).run(&program, &input).unwrap();
+    let out_reference = reference::run(&program, &input).unwrap();
     let after = sequence_datalog::core::store_stats();
 
     // No fact matches (there is no `b`), so nothing should be emitted...
     assert!(out_ram.unary_paths(rel("A")).is_empty());
-    assert_eq!(out_ram, out_legacy);
+    assert_eq!(out_ram, out_reference);
 
     // ...and nothing should have been interned.  The old behaviour interned a
     // distinct subpath per speculative cut: Θ(L²/2) ≈ 32k paths at L = 256.
