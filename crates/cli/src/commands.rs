@@ -698,13 +698,7 @@ fn cmd_run(flags: &Flags) -> Result<String, CliError> {
         }
         Some(relation) => {
             writeln!(report, "{output}: {} fact(s)", relation.len()).expect("write to string");
-            // Borrow and sort references for stable output; no tuple is cloned.
-            let mut rows: Vec<&seqdl_core::Tuple> = relation.iter().collect();
-            rows.sort();
-            for tuple in rows {
-                let args: Vec<String> = tuple.iter().map(ToString::to_string).collect();
-                writeln!(report, "  {output}({})", args.join(", ")).expect("write to string");
-            }
+            write_rows(&mut report, output, relation.iter());
         }
     }
     match format {
@@ -743,6 +737,49 @@ fn cmd_run(flags: &Flags) -> Result<String, CliError> {
     Ok(report)
 }
 
+/// Append one line per row of `relation` — `  relation(p1, p2, …)`, or a bare
+/// `  relation` for a nullary row — in the rows' content order.  The rows
+/// must be distinct and of one arity (those of one relation).  Each row's
+/// paths are resolved to their value slices once, before sorting, so no
+/// comparison goes back to the path store.
+fn write_rows<'t>(
+    report: &mut String,
+    relation: RelName,
+    rows: impl IntoIterator<Item = &'t Tuple>,
+) {
+    let rows: Vec<&Tuple> = rows.into_iter().collect();
+    let Some(arity) = rows.first().map(|t| t.len()).filter(|&n| n > 0) else {
+        for _ in &rows {
+            writeln!(report, "  {relation}").expect("write to string");
+        }
+        return;
+    };
+    debug_assert!(
+        rows.iter().all(|t| t.len() == arity),
+        "rows of one relation"
+    );
+    let keys: Vec<&[seqdl_core::Value]> = rows
+        .iter()
+        .flat_map(|t| t.iter().map(seqdl_core::Path::values))
+        .collect();
+    // Row `i`'s key slices compare like the tuple they resolve:
+    // lexicographically, each path by its values.
+    let key = |i: usize| &keys[i * arity..(i + 1) * arity];
+    let mut order: Vec<usize> = (0..rows.len()).collect();
+    order.sort_unstable_by(|&a, &b| key(a).cmp(key(b)));
+    let open = format!("  {relation}(");
+    for row in order {
+        report.push_str(&open);
+        for (col, path) in rows[row].iter().enumerate() {
+            if col > 0 {
+                report.push_str(", ");
+            }
+            write!(report, "{path}").expect("write to string");
+        }
+        report.push_str(")\n");
+    }
+}
+
 /// `seqdl query`: demand-driven evaluation of one goal atom.  The goal is
 /// adorned, the program rewritten by the magic-set transformation
 /// (`seqdl_rewrite::magic`), the goal's bound first values injected as seed
@@ -755,17 +792,9 @@ fn cmd_query(flags: &Flags) -> Result<String, CliError> {
     let executor = executor_from_flags(flags)?;
 
     let mut report = String::new();
-    let print_answers = |report: &mut String, answers: &std::collections::BTreeSet<Tuple>| {
+    let print_answers = |report: &mut String, answers: Vec<&Tuple>| {
         writeln!(report, "{}: {} answer(s)", goal, answers.len()).expect("write to string");
-        for tuple in answers {
-            if tuple.is_empty() {
-                writeln!(report, "  {}", goal.relation).expect("write to string");
-            } else {
-                let args: Vec<String> = tuple.iter().map(ToString::to_string).collect();
-                writeln!(report, "  {}({})", goal.relation, args.join(", "))
-                    .expect("write to string");
-            }
-        }
+        write_rows(report, goal.relation, answers);
     };
 
     if !program.idb_relations().contains(&goal.relation) {
@@ -795,16 +824,13 @@ fn cmd_query(flags: &Flags) -> Result<String, CliError> {
                 )));
             }
         }
-        let answers: std::collections::BTreeSet<Tuple> = instance
+        let answers = instance
             .relation(goal.relation)
-            .map(|rel| {
-                rel.iter()
-                    .filter(|t| goal_matches(&goal, t))
-                    .cloned()
-                    .collect()
-            })
-            .unwrap_or_default();
-        print_answers(&mut report, &answers);
+            .into_iter()
+            .flat_map(|rel| rel.iter())
+            .filter(|t| goal_matches(&goal, t))
+            .collect();
+        print_answers(&mut report, answers);
         return Ok(report);
     }
 
@@ -837,8 +863,7 @@ fn cmd_query(flags: &Flags) -> Result<String, CliError> {
     let run = executor.run_with_stats_seeded(eval_program, &instance, &mp.seeds);
     let trace_note = trace.map(TraceCapture::write).transpose()?;
     let (result, stats) = run.map_err(|e| eval_error_report(&executor, &e, format))?;
-    let answers = mp.answers(&result);
-    print_answers(&mut report, &answers);
+    print_answers(&mut report, mp.answer_rows(&result).collect());
     if flags.has("show-rewrite") {
         writeln!(report, "% magic rewrite (answers read from {}):", mp.answer)
             .expect("write to string");

@@ -1,13 +1,10 @@
 //! Stratum-by-stratum fixpoint evaluation (Section 2.3).
 
 use crate::error::{EvalError, LimitKind};
-use crate::plan::{
-    plan_rule, BodyPlan, ColumnProbe, PlannedLiteral, PlannedPredicate, PrefixSource,
-};
-use seqdl_core::{
-    CancelToken, Fact, Instance, Path, RelName, Relation, TrieEntry, Value, TRIE_DEPTH,
-};
-use seqdl_syntax::{Binding, Program, ProgramInfo, Rule, Valuation};
+use crate::plan::{plan_rule, BodyPlan, PlannedLiteral};
+use crate::ram::EmitMemo;
+use seqdl_core::{CancelToken, Fact, Instance, RelName, Relation};
+use seqdl_syntax::{Program, ProgramInfo, Rule};
 use std::collections::{BTreeMap, BTreeSet};
 use std::time::{Duration, Instant};
 
@@ -541,8 +538,8 @@ impl Engine {
         Ok(instance)
     }
 
-    /// Evaluate a scoped set of rules over `instance`, the engine's inner loop
-    /// made reusable for SCC-scoped scheduling (the `seqdl-exec` crate).
+    /// Evaluate a scoped set of rules over `instance`: the engine's inner
+    /// loop over a caller-chosen rule subset.
     ///
     /// `recursive_over` names the relations whose growth drives the fixpoint —
     /// for plain stratum evaluation the stratum's head relations, for an SCC
@@ -562,30 +559,11 @@ impl Engine {
         stats: &mut EvalStats,
     ) -> Result<(), EvalError> {
         let governor = ResourceGovernor::for_run(&self.limits, self.cancel.clone());
-        self.eval_rule_set_governed(rules, recursive_over, instance, stats, &governor)
-    }
-
-    /// [`eval_rule_set`](Engine::eval_rule_set) under a caller-owned
-    /// [`ResourceGovernor`] — the parallel executor scopes one governor to a
-    /// whole run and shares it across strata (and with its sequential-retry
-    /// path), so deadlines and store baselines are measured once per run, not
-    /// once per rule set.
-    ///
-    /// # Errors
-    /// Ill-formed rules, exceeded resource limits, and cancellation.
-    pub fn eval_rule_set_governed(
-        &self,
-        rules: &[&Rule],
-        recursive_over: &BTreeSet<RelName>,
-        instance: &mut Instance,
-        stats: &mut EvalStats,
-        governor: &ResourceGovernor,
-    ) -> Result<(), EvalError> {
         let plans: Vec<(&Rule, BodyPlan)> = rules
             .iter()
             .map(|r| plan_rule(r).map(|p| (*r, p)))
             .collect::<Result<_, _>>()?;
-        self.eval_planned_rule_set(plans, recursive_over, instance, stats, governor)
+        self.eval_planned_rule_set(plans, recursive_over, instance, stats, &governor)
     }
 
     /// [`eval_rule_set`](Engine::eval_rule_set) for rules already planned by
@@ -623,8 +601,7 @@ impl Engine {
         let mut delta_start: BTreeMap<RelName, usize> = BTreeMap::new();
         // Ordinal of the stratum being evaluated, for the per-rule profile:
         // strata entries are pushed at stratum boundaries, so the entry under
-        // construction is the current length.  Holds for the executor's
-        // sequential-retry path too (it re-runs the stratum before pushing).
+        // construction is the current length.
         let stratum_ix = stats.strata.len();
         let mut iteration = 0usize;
         let mut new_facts: Vec<Fact> = Vec::new();
@@ -831,6 +808,9 @@ pub fn register_plan_indexes<'a>(
 /// deactivated columns entirely and falls back to scanning, and
 /// re-activation (by a later evaluation whose plans do probe the column)
 /// rebuilds the trie from the stored tuples.
+///
+/// [`ColumnProbe::can_probe`]: crate::plan::ColumnProbe::can_probe
+/// [`choose_candidates`]: crate::ram::candidates::choose_candidates
 pub fn restrict_head_indexes<'a>(
     heads: impl IntoIterator<Item = RelName>,
     plans: impl IntoIterator<Item = &'a BodyPlan>,
@@ -851,247 +831,6 @@ pub fn restrict_head_indexes<'a>(
     }
     for head in heads {
         instance.restrict_column_indexes(head, needed.get(&head).copied().unwrap_or(0));
-    }
-}
-
-/// A per-rule emit-deduplication memo, keyed by the *segment identity* of the
-/// grounded head: one interned id per head term (atom binding, path binding,
-/// or constant).  A firing whose segment tuple was seen before in this
-/// fixpoint is a duplicate derivation — it is counted, but recognised in one
-/// hash probe without grounding any path and without touching the relation's
-/// dedup index.  Create one per rule and reuse it across rounds.
-#[derive(Debug, Default)]
-pub struct EmitMemo {
-    pub(crate) seen: seqdl_core::FxMap<EmitKey, ()>,
-}
-
-impl EmitMemo {
-    /// An empty memo.
-    pub fn new() -> EmitMemo {
-        EmitMemo::default()
-    }
-}
-
-/// Heads of up to two terms (the overwhelmingly common case) pack the memo
-/// key into one `u128`; up to four terms use an inline array; longer heads
-/// spill to the heap.  Small keys keep the memo's working set dense — the
-/// per-duplicate probe is the hot memory access of a fixpoint.
-const EMIT_INLINE: usize = 4;
-
-#[derive(Clone, PartialEq, Eq, Hash, Debug)]
-pub(crate) enum EmitKey {
-    Packed(u128),
-    Inline(u8, [seqdl_core::Segment; EMIT_INLINE]),
-    Heap(Box<[seqdl_core::Segment]>),
-}
-
-/// A segment as a 40-bit code (8-bit tag + 32-bit id); two fit a `u128` with
-/// room to spare, and the tag for "no segment" is 0, so length is implicit.
-fn segment_code(seg: seqdl_core::Segment) -> u64 {
-    match seg {
-        seqdl_core::Segment::Value(Value::Atom(a)) => (1u64 << 32) | u64::from(a.symbol().index()),
-        seqdl_core::Segment::Value(Value::Packed(p)) => (2u64 << 32) | u64::from(p.id().index()),
-        seqdl_core::Segment::Path(p) => (3u64 << 32) | u64::from(p.index()),
-    }
-}
-
-impl EmitKey {
-    pub(crate) fn from_slice(segs: &[seqdl_core::Segment]) -> EmitKey {
-        match segs {
-            [] => EmitKey::Packed(0),
-            [a] => EmitKey::Packed(u128::from(segment_code(*a))),
-            [a, b] => {
-                EmitKey::Packed(u128::from(segment_code(*a)) | (u128::from(segment_code(*b)) << 40))
-            }
-            _ if segs.len() <= EMIT_INLINE => {
-                let mut inline =
-                    [seqdl_core::Segment::Path(seqdl_core::PathId::EMPTY); EMIT_INLINE];
-                inline[..segs.len()].copy_from_slice(segs);
-                EmitKey::Inline(segs.len() as u8, inline)
-            }
-            _ => EmitKey::Heap(segs.into()),
-        }
-    }
-}
-
-/// A placeholder for value buffers (never read before being overwritten).
-pub(crate) const DUMMY_VALUE: Value = Value::Packed(Path::empty());
-
-/// Joint probes over more columns than this fall back to column probing.
-pub(crate) const MAX_JOINT_COLS: usize = 8;
-
-/// An indexed candidate list: trie buckets carry [`TrieEntry`] metadata for
-/// bucket-side matching, the other indexes (joint, ε, any-packed) carry bare
-/// tuple ids.
-#[derive(Clone, Copy)]
-pub(crate) enum CandList<'r> {
-    Entries(&'r [TrieEntry]),
-    Ids(&'r [u32]),
-}
-
-impl CandList<'_> {
-    fn len(&self) -> usize {
-        match self {
-            CandList::Entries(e) => e.len(),
-            CandList::Ids(i) => i.len(),
-        }
-    }
-}
-
-/// The winning candidate list plus its provenance: `trie_col` is set when the
-/// list came from a column trie that consumed the *entire* resolved prefix
-/// (column, prefix length) — the precondition for bucket-side matching.
-#[derive(Clone, Copy)]
-pub(crate) struct Chosen<'r> {
-    pub(crate) list: CandList<'r>,
-    pub(crate) trie_col: Option<(usize, usize)>,
-}
-
-/// Keep `best` the smallest candidate list seen so far.
-fn consider<'r>(best: &mut Option<Chosen<'r>>, cand: Chosen<'r>) {
-    if best.as_ref().is_none_or(|b| cand.list.len() < b.list.len()) {
-        *best = Some(cand);
-    }
-}
-
-/// The smallest available indexed candidate list for `planned` under `nu`:
-/// the joint index (when the planner selected one), each column's resolved
-/// prefix through its trie, exact-`ε` buckets, and any-packed buckets all
-/// compete, and the shortest list wins.  `None` means no column offers an
-/// index at all — scan the relation.
-pub(crate) fn choose_candidates<'r>(
-    relation: &'r Relation,
-    planned: &PlannedPredicate,
-    nu: &Valuation,
-) -> Option<Chosen<'r>> {
-    let mut best: Option<Chosen<'r>> = None;
-    if let Some(cols) = planned.joint_cols.as_deref() {
-        if cols.len() <= MAX_JOINT_COLS {
-            let mut firsts = [DUMMY_VALUE; MAX_JOINT_COLS];
-            let mut ok = true;
-            for (i, &c) in cols.iter().enumerate() {
-                match first_value(&planned.probes[c], nu) {
-                    Some(v) => firsts[i] = v,
-                    None => {
-                        ok = false;
-                        break;
-                    }
-                }
-            }
-            if ok {
-                if let Some(ids) = relation.probe_joint(cols, &firsts[..cols.len()]) {
-                    consider(
-                        &mut best,
-                        Chosen {
-                            list: CandList::Ids(ids),
-                            trie_col: None,
-                        },
-                    );
-                }
-            }
-        }
-    }
-    let mut buf = [DUMMY_VALUE; TRIE_DEPTH];
-    for (column, probe) in planned.probes.iter().enumerate() {
-        if !probe.can_probe() || !relation.column_active(column) {
-            continue;
-        }
-        if matches!(&best, Some(b) if b.list.len() == 0) {
-            break;
-        }
-        let (n, complete) = resolve_prefix(probe, nu, &mut buf);
-        if n > 0 {
-            let full_walk = relation
-                .column_index(column)
-                .is_some_and(|trie| n <= trie.depth());
-            consider(
-                &mut best,
-                Chosen {
-                    list: CandList::Entries(relation.probe_prefix(column, &buf[..n])),
-                    trie_col: full_walk.then_some((column, n)),
-                },
-            );
-        } else if complete {
-            // Every source resolved to zero values and the sources cover the
-            // whole argument: the column must be exactly ε.
-            consider(
-                &mut best,
-                Chosen {
-                    list: CandList::Ids(relation.probe_empty(column)),
-                    trie_col: None,
-                },
-            );
-        } else if probe.leading_packed_var {
-            consider(
-                &mut best,
-                Chosen {
-                    list: CandList::Ids(relation.probe_packed_first(column)),
-                    trie_col: None,
-                },
-            );
-        }
-    }
-    best
-}
-
-/// Resolve the statically-known leading values of one column into `buf`,
-/// returning how many were filled (capped at [`TRIE_DEPTH`]) and whether the
-/// sources were consumed completely (so `probe.exact` still pins the column).
-fn resolve_prefix(
-    probe: &ColumnProbe,
-    nu: &Valuation,
-    buf: &mut [Value; TRIE_DEPTH],
-) -> (usize, bool) {
-    let mut n = 0usize;
-    for source in &probe.sources {
-        if n == TRIE_DEPTH {
-            return (n, false);
-        }
-        match source {
-            PrefixSource::Const(a) => {
-                buf[n] = Value::Atom(*a);
-                n += 1;
-            }
-            PrefixSource::Packed(v) => {
-                buf[n] = *v;
-                n += 1;
-            }
-            PrefixSource::AtomVar(v) => match nu.get(*v) {
-                Some(Binding::Atom(a)) => {
-                    buf[n] = Value::Atom(*a);
-                    n += 1;
-                }
-                _ => return (n, false),
-            },
-            PrefixSource::PathVar(v) => match nu.get(*v) {
-                Some(Binding::Path(p)) => {
-                    for value in p.values() {
-                        if n == TRIE_DEPTH {
-                            return (n, false);
-                        }
-                        buf[n] = *value;
-                        n += 1;
-                    }
-                }
-                _ => return (n, false),
-            },
-        }
-    }
-    (n, probe.exact)
-}
-
-/// The runtime first value of a joint-index column (guaranteed by the planner
-/// to resolve; `None` only on a defensive miss, which disables the joint
-/// probe for this call).
-pub(crate) fn first_value(probe: &ColumnProbe, nu: &Valuation) -> Option<Value> {
-    match probe.sources.first()? {
-        PrefixSource::Const(a) => Some(Value::Atom(*a)),
-        PrefixSource::Packed(v) => Some(*v),
-        PrefixSource::AtomVar(v) => match nu.get(*v) {
-            Some(Binding::Atom(a)) => Some(Value::Atom(*a)),
-            _ => None,
-        },
-        PrefixSource::PathVar(_) => None,
     }
 }
 

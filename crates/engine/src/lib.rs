@@ -51,11 +51,11 @@ pub mod stats_json;
 pub use error::{EvalError, LimitKind};
 pub use eval::{
     prepare_idb_instance, register_plan_indexes, restrict_head_indexes, seed_instance, DeltaWindow,
-    EmitMemo, Engine, EvalLimits, EvalStats, FireStats, FixpointStrategy, ResourceGovernor,
-    RuleStats, StratumStats, GOVERNOR_CHECK_INTERVAL,
+    Engine, EvalLimits, EvalStats, FireStats, FixpointStrategy, ResourceGovernor, RuleStats,
+    StratumStats, GOVERNOR_CHECK_INTERVAL,
 };
 pub use plan::{plan_rule, BodyPlan, ColumnProbe, PlannedLiteral, PlannedPredicate, PrefixSource};
-pub use ram::{fire_proc, RuleProc};
+pub use ram::{fire_proc, EmitMemo, RuleProc};
 pub use stats_json::stats_json;
 
 use seqdl_core::{Instance, Path, RelName};

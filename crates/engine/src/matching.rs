@@ -78,7 +78,7 @@ pub fn match_predicate_flat(
 }
 
 /// All extensions of `valuation` that make `expr` denote exactly `path`.
-pub fn match_expr(expr: &PathExpr, path: &Path, valuation: &Valuation) -> Vec<Valuation> {
+fn match_expr(expr: &PathExpr, path: &Path, valuation: &Valuation) -> Vec<Valuation> {
     let mut out = Vec::new();
     let mut scratch = valuation.clone();
     match_terms(
@@ -505,12 +505,6 @@ fn det_terms(
     values.is_empty()
 }
 
-/// A variable assignment enumerator used by negated-predicate checks: does *some*
-/// tuple of `tuples` match `pred` under an extension of `valuation`?
-pub fn matches_some_tuple(pred: &Predicate, tuples: &[Vec<Path>], valuation: &Valuation) -> bool {
-    tuples.iter().any(|t| predicate_matches(pred, t, valuation))
-}
-
 /// Convenience for tests and callers: apply a valuation to a predicate to obtain the
 /// corresponding ground tuple, if the valuation is appropriate.
 pub fn ground_tuple(pred: &Predicate, valuation: &Valuation) -> Option<Vec<Path>> {
@@ -724,18 +718,12 @@ mod tests {
     }
 
     #[test]
-    fn ground_tuple_and_matches_some_tuple() {
+    fn ground_tuple_applies_the_valuation() {
         let pred = Predicate::new(rel("R"), vec![expr("$x·a")]);
         let mut nu = Valuation::new();
         nu.bind_path(Var::path("x"), path_of(&["b"]));
         assert_eq!(ground_tuple(&pred, &nu), Some(vec![path_of(&["b", "a"])]));
         assert_eq!(ground_tuple(&pred, &Valuation::new()), None);
-
-        let tuples = vec![vec![path_of(&["b", "a"])], vec![path_of(&["c"])]];
-        assert!(matches_some_tuple(&pred, &tuples, &nu));
-        let mut nu_miss = Valuation::new();
-        nu_miss.bind_path(Var::path("x"), path_of(&["z"]));
-        assert!(!matches_some_tuple(&pred, &tuples, &nu_miss));
     }
 
     #[test]

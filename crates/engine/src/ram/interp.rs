@@ -16,16 +16,15 @@
 //! [`crate::reference`] evaluator.
 
 use crate::error::EvalError;
-use crate::eval::{
-    choose_candidates, CandList, Chosen, DeltaWindow, EmitKey, EmitMemo, FireStats, DUMMY_VALUE,
-    MAX_JOINT_COLS,
-};
+use crate::eval::{DeltaWindow, FireStats};
 use crate::matching::{
     equation_holds, ground_tuple, match_equation, match_predicate_det, match_predicate_flat,
     match_predicate_sink,
 };
 use crate::plan::{PlannedLiteral, PlannedPredicate, PrefixSource, FLAT_MAX_VARS};
+use crate::ram::candidates::{choose_candidates, CandList, Chosen, DUMMY_VALUE, MAX_JOINT_COLS};
 use crate::ram::ir::{FilterOp, Inst, RuleProc};
+use crate::ram::memo::EmitMemo;
 use seqdl_core::{
     joint_probe_key, Fact, FxMap, Instance, Path, PathId, Relation, Segment, TrieEntry, Tuple,
     Value,
@@ -479,14 +478,9 @@ fn emit_segs(
     stats: &mut FireStats,
 ) {
     stats.firings += 1;
-    match memo.seen.entry(EmitKey::from_slice(seg_scratch)) {
-        std::collections::hash_map::Entry::Occupied(_) => {
-            stats.emit_memo_hits += 1;
-            return;
-        }
-        std::collections::hash_map::Entry::Vacant(slot) => {
-            slot.insert(());
-        }
+    if !memo.first_sight(seg_scratch) {
+        stats.emit_memo_hits += 1;
+        return;
     }
     tuple_scratch.clear();
     let mut offset = 0usize;

@@ -40,7 +40,7 @@ pub enum Inst {
     /// Deterministic guard: pass or backtrack, never binds.
     Filter(FilterOp),
     /// Ground the head under the current valuation, deduplicate through the
-    /// [`EmitMemo`](crate::eval::EmitMemo), and append genuinely new facts.
+    /// [`EmitMemo`](crate::ram::EmitMemo), and append genuinely new facts.
     Emit,
 }
 
@@ -94,7 +94,7 @@ pub struct RuleProc {
     /// bound atomic variables' values — no column's prefix sources include a
     /// bound *path* variable, so constants and packed terms fix the rest of
     /// every prefix statically — and the interpreter memoises
-    /// [`choose_candidates`](crate::eval::choose_candidates) per key tuple
+    /// [`choose_candidates`](crate::ram::candidates::choose_candidates) per key tuple
     /// within one fire call.
     pub choose_cacheable: Vec<bool>,
     /// Plan positions that draw from a fixpoint-driving relation — the

@@ -21,8 +21,8 @@
 //! fixpoint loop per recursive component.
 
 use crate::error::EvalError;
-use crate::eval::MAX_JOINT_COLS;
 use crate::plan::{plan_rule, BodyPlan, PlannedLiteral, PlannedPredicate, PrefixSource};
+use crate::ram::candidates::MAX_JOINT_COLS;
 use crate::ram::ir::{
     FilterOp, Inst, LevelProgram, LoopProgram, Program, RuleProc, StratumProgram,
 };
@@ -105,7 +105,7 @@ pub fn lower_rule(rule: &Rule, plan: BodyPlan, recursive_over: &BTreeSet<RelName
     }
 }
 
-/// Is [`choose_candidates`](crate::eval::choose_candidates) for this
+/// Is [`choose_candidates`](crate::ram::candidates::choose_candidates) for this
 /// predicate a pure function of its bound atomic variables' values?  That
 /// holds when no column's prefix sources include a bound *path* variable —
 /// a path binding contributes a run of segments the trie descent follows, so

@@ -10,10 +10,13 @@
 //! frame-per-choice-point machine; both evaluators (the engine's stratum
 //! fixpoint and the parallel executor) fire every rule through it.
 
+pub(crate) mod candidates;
 pub mod interp;
 pub mod ir;
 pub mod lower;
+mod memo;
 
 pub use interp::fire_proc;
 pub use ir::{FilterOp, Inst, LevelProgram, LoopProgram, Program, RuleProc, StratumProgram};
 pub use lower::{lower, lower_rule, lower_stratum};
+pub use memo::EmitMemo;

@@ -11,10 +11,13 @@
 //! 2. non-recursive components are evaluated with a single pass — no fixpoint
 //!    bookkeeping at all;
 //! 3. recursive components run the engine's watermark-based semi-naive loop
-//!    restricted to the component's own rules;
+//!    restricted to the component's own rules, each rule keeping one emit
+//!    memo for the whole fixpoint, as the engine does;
 //! 4. independent same-level components — and, inside a recursive fixpoint,
 //!    rule variants over disjoint delta shards — fan out over a fixed worker
-//!    pool built from `std::thread` and `parking_lot`.
+//!    pool built from `std::thread` and `parking_lot`.  Deltas are split into
+//!    shards only when the run has more than one thread; at one thread every
+//!    job runs in-line on the calling thread.
 //!
 //! Workers only ever *read* the shared instance (behind a `parking_lot::RwLock`)
 //! and produce derived facts into private buffers; the driver merges those
@@ -57,7 +60,7 @@ use seqdl_engine::{
     EvalError, EvalStats, FireStats, FixpointStrategy, ResourceGovernor, StratumStats,
 };
 use seqdl_syntax::Program;
-use seqdl_syntax::{ProgramInfo, Rule, Stratum};
+use seqdl_syntax::{ProgramInfo, Stratum};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc;
@@ -101,7 +104,7 @@ pub mod fail {
             .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |v| {
                 (v >= 0).then(|| v - 1)
             })
-            .map_or(false, |prev| prev == 0);
+            .is_ok_and(|prev| prev == 0);
         if chosen {
             panic!("fail-inject: injected worker panic");
         }
@@ -144,7 +147,8 @@ fn pool_died() -> EvalError {
 }
 
 /// Default number of delta tuples per shard when a recursive iteration is
-/// split across the pool; override with [`Executor::with_shard_size`].
+/// split across the pool (more than one thread); override with
+/// [`Executor::with_shard_size`].
 const DELTA_SHARD: usize = 128;
 
 /// Upper bound on shards per delta window, as a multiple of the worker count:
@@ -156,7 +160,7 @@ const SHARD_FANOUT: usize = 4;
 
 /// One unit of work for a round: fire one rule, optionally restricted to a
 /// delta window.  Jobs only read the instance; results come back as buffers.
-#[derive(Clone, Copy, Debug)]
+#[derive(Debug)]
 struct Job<'a> {
     id: usize,
     /// Index of the rule within its stratum's rule list — the per-rule
@@ -165,17 +169,25 @@ struct Job<'a> {
     /// The rule's lowered RAM procedure.
     proc: &'a RuleProc,
     window: Option<DeltaWindow>,
+    /// The rule's fixpoint-long emit memo, carried by the rule's first job
+    /// of a round and handed back in its outcome; `None` fires the job with
+    /// a fresh memo that is dropped with it.
+    memo: Option<EmitMemo>,
 }
 
-/// The result of one job: the derived facts and the firing-pass counters, or
-/// the first evaluation error the job hit.
+/// What a job that ran to completion hands back: the derived facts, the
+/// firing-pass counters, and the emit memo the job carried, if any.
+type Fired = (Vec<Fact>, FireStats, Option<EmitMemo>);
+
+/// The result of one job: what it fired, or the first evaluation error the
+/// job hit.
 struct JobOutcome {
     id: usize,
     /// Stratum-relative rule index, copied from the job.
     rule_ix: usize,
     /// Wall-clock time the job's firing pass took on its worker thread.
     wall: Duration,
-    result: Result<(Vec<Fact>, FireStats), EvalError>,
+    result: Result<Fired, EvalError>,
 }
 
 /// Evaluate one job against the shared instance, containing panics.
@@ -195,21 +207,27 @@ fn run_job(
     governor: &ResourceGovernor,
     poison: &Poison,
 ) -> JobOutcome {
-    let id = job.id;
+    let Job {
+        id,
+        rule_ix,
+        proc,
+        window,
+        memo,
+    } = job;
     if poison.is_set() {
         return JobOutcome {
             id,
-            rule_ix: job.rule_ix,
+            rule_ix,
             wall: Duration::ZERO,
-            result: Ok((Vec::new(), FireStats::default())),
+            result: Ok((Vec::new(), FireStats::default(), None)),
         };
     }
     let _rule_span = seqdl_trace::span(|| {
         format!(
             "rule r{} {}{}",
-            job.rule_ix,
-            job.proc.rule.head.relation,
-            match job.window {
+            rule_ix,
+            proc.rule.head.relation,
+            match window {
                 Some(w) => format!(" Δ{}..{}", w.lo, w.hi),
                 None => String::new(),
             }
@@ -220,18 +238,13 @@ fn run_job(
         #[cfg(feature = "fail-inject")]
         fail::maybe_panic();
         let mut out = Vec::new();
-        // Jobs are independent work units, so each gets a fresh emit memo; it
-        // still collapses duplicate derivations within the job's delta shard.
-        let mut memo = EmitMemo::new();
-        fire_proc(
-            job.proc,
-            instance,
-            job.window,
-            &mut memo,
-            &mut out,
-            Some(governor),
-        )
-        .map(|fire| (out, fire))
+        // The rule's own memo when this job carries it, else a fresh one
+        // that still collapses duplicates within the job's delta window.  A
+        // memo the job fails or panics with is dropped here, never reused.
+        let carried = memo.is_some();
+        let mut memo = memo.unwrap_or_default();
+        fire_proc(proc, instance, window, &mut memo, &mut out, Some(governor))
+            .map(|fire| (out, fire, carried.then_some(memo)))
     }))
     .unwrap_or_else(|panic| {
         let detail = panic
@@ -241,13 +254,13 @@ fn run_job(
             .unwrap_or_else(|| "worker panicked".to_string());
         poison.set();
         Err(EvalError::WorkerPanic {
-            rule: job.proc.rule.to_string(),
+            rule: proc.rule.to_string(),
             detail,
         })
     });
     let wall = pass_start.elapsed();
     if seqdl_trace::enabled() {
-        if let Ok((_, fire)) = &result {
+        if let Ok((_, fire, _)) = &result {
             seqdl_trace::counter("index probes", fire.index_probes as u64);
             seqdl_trace::counter("scans", fire.scans as u64);
             seqdl_trace::counter("emits", fire.firings as u64);
@@ -255,10 +268,24 @@ fn run_job(
     }
     JobOutcome {
         id,
-        rule_ix: job.rule_ix,
+        rule_ix,
         wall,
         result,
     }
+}
+
+/// Run a round's jobs one after another on the calling thread, under one
+/// read lock.
+fn run_inline(
+    jobs: Vec<Job<'_>>,
+    instance: &RwLock<Instance>,
+    governor: &ResourceGovernor,
+    poison: &Poison,
+) -> Vec<JobOutcome> {
+    let guard = instance.read();
+    jobs.into_iter()
+        .map(|job| run_job(job, &guard, governor, poison))
+        .collect()
 }
 
 /// The worker loop: take jobs from the shared queue until it closes, evaluate
@@ -291,11 +318,11 @@ fn worker(
 pub enum RecoveryPolicy {
     /// Surface the [`EvalError::WorkerPanic`] immediately.
     Fail,
-    /// Retry the affected stratum once on the engine's single-threaded path
-    /// before giving up (the default).  The retry starts from the partially
-    /// grown — but always consistent — instance; stratum rules are monotone
-    /// over it, so the retried fixpoint lands on exactly the instance an
-    /// undisturbed run computes.
+    /// Retry the affected stratum once, inline on the driver thread with
+    /// fresh emit memos, before giving up (the default).  The retry starts
+    /// from the partially grown — but always consistent — instance; stratum
+    /// rules are monotone over it, so the retried fixpoint lands on exactly
+    /// the instance an undisturbed run computes.
     #[default]
     Sequential,
 }
@@ -349,10 +376,12 @@ impl Executor {
     }
 
     /// Set the base number of delta tuples per shard (minimum 1; default 128).
-    /// A delta window is split into shards of at least this size, and into at
-    /// most a small multiple of the worker count — whichever yields fewer
-    /// shards — so small deltas stay in one job and huge deltas cannot flood
-    /// the job queue.
+    /// With more than one thread, a delta window is split into shards of at
+    /// least this size, and into at most a small multiple of the worker count
+    /// — whichever yields fewer shards — so small deltas stay in one job and
+    /// huge deltas cannot flood the job queue.  At one thread a window is
+    /// never split (nothing would run the shards in parallel), and the size
+    /// has no effect.
     pub fn with_shard_size(mut self, shard_size: usize) -> Executor {
         self.shard_size = shard_size.max(1);
         self
@@ -363,11 +392,11 @@ impl Executor {
         self.shard_size
     }
 
-    /// The maximum number of shard jobs one delta window can fan out into
-    /// (`SHARD_FANOUT ×` the effective thread count) — the clamp that keeps
-    /// huge deltas from flooding the job queue.
+    /// The maximum number of shard jobs one delta window can fan out into:
+    /// 1 at one thread, else `SHARD_FANOUT ×` the effective thread count —
+    /// the clamp that keeps huge deltas from flooding the job queue.
     pub fn max_delta_shards(&self) -> usize {
-        SHARD_FANOUT * self.effective_threads().max(1)
+        ShardPolicy::for_threads(self.shard_size, self.effective_threads()).max_shards
     }
 
     /// Set the number of compute threads.  `1` runs in-line (no pool); `N > 1`
@@ -472,10 +501,7 @@ impl Executor {
         seqdl_engine::restrict_head_indexes(info.idb.iter().copied(), plans(), &mut instance);
         let mut stats = EvalStats::default();
         let threads = self.effective_threads();
-        let shard = ShardPolicy {
-            base: self.shard_size,
-            max_shards: SHARD_FANOUT * threads.max(1),
-        };
+        let shard = ShardPolicy::for_threads(self.shard_size, threads);
         let lock = RwLock::new(instance);
         // One governor per run: the deadline clock starts here, the store
         // baseline is sampled here, and every checkpoint below (stratum
@@ -501,12 +527,7 @@ impl Executor {
                 &lowered,
                 &lock,
                 &mut stats,
-                |jobs| {
-                    let guard = lock.read();
-                    jobs.into_iter()
-                        .map(|job| run_job(job, &guard, &governor, &poison))
-                        .collect()
-                },
+                |jobs| run_inline(jobs, &lock, &governor, &poison),
             )
         } else {
             let (job_tx, job_rx) = mpsc::channel::<Job<'_>>();
@@ -590,6 +611,7 @@ impl Executor {
 /// Per-run context shared by the schedule driver and the fixpoint loops: the
 /// embedded engine (limits, strategy, merge bookkeeping), the run's resource
 /// governor, the panic-poison flag, and the recovery and sharding policies.
+#[derive(Clone, Copy)]
 struct RunCtx<'e> {
     engine: &'e Engine,
     governor: &'e ResourceGovernor,
@@ -607,6 +629,21 @@ struct ShardPolicy {
 }
 
 impl ShardPolicy {
+    /// The policy for a run on `threads` compute threads: one shard per
+    /// window at one thread — shards there would only run one after another
+    /// and split the rule's emit memo — else at most `SHARD_FANOUT` shards
+    /// per thread.
+    fn for_threads(base: usize, threads: usize) -> ShardPolicy {
+        ShardPolicy {
+            base,
+            max_shards: if threads > 1 {
+                SHARD_FANOUT * threads
+            } else {
+                1
+            },
+        }
+    }
+
     /// The shard size used for a delta window of `span` tuples.
     fn size_for(&self, span: usize) -> usize {
         let base = self.base.max(1);
@@ -647,11 +684,11 @@ fn next_round(rounds: &mut usize, engine: &Engine) -> Result<(), EvalError> {
 /// non-recursive components in one single-pass round, then advance the level's
 /// recursive components as lock-step semi-naive fixpoints.
 ///
-/// This is also where panic recovery lives: when a stratum's parallel attempt
-/// surfaces [`EvalError::WorkerPanic`] and the policy is
-/// [`RecoveryPolicy::Sequential`], the stratum retries once on the engine's
-/// single-threaded path (which never runs worker jobs) before the run gives
-/// up.
+/// This is also where panic recovery lives: when a stratum's attempt surfaces
+/// [`EvalError::WorkerPanic`] and the policy is [`RecoveryPolicy::Sequential`],
+/// the stratum retries once — the same schedule over the same lowered
+/// procedures, inline on this thread with one shard per delta window and
+/// fresh emit memos — before the run gives up.
 #[allow(clippy::too_many_arguments)]
 fn drive<'a>(
     ctx: &RunCtx<'_>,
@@ -692,20 +729,25 @@ fn drive<'a>(
                 // sequentially: the instance is consistent (merges are atomic
                 // under the write lock) and stratum rules are monotone over
                 // it, so re-running from the partially grown state reaches
-                // exactly the fixpoint an undisturbed run computes.
+                // exactly the fixpoint an undisturbed run computes.  The
+                // failed attempt's memos died with it, so the retry starts
+                // from fresh ones.  Clearing the poison lets the retry's jobs
+                // run instead of draining, and later strata use the pool again.
                 let _recovery_span = seqdl_trace::span(|| format!("recover stratum {si}"));
-                let rules: Vec<&Rule> = stratum.rules.iter().collect();
-                let mut guard = instance.write();
-                ctx.engine.eval_rule_set_governed(
-                    &rules,
-                    &stratum.head_relations(),
-                    &mut guard,
-                    stats,
-                    ctx.governor,
-                )?;
-                drop(guard);
-                // Recovery succeeded: later strata run in parallel again.
                 ctx.poison.reset();
+                let inline = RunCtx {
+                    shard: ShardPolicy::for_threads(ctx.shard.base, 1),
+                    ..*ctx
+                };
+                run_stratum(
+                    &inline,
+                    stratum,
+                    sched,
+                    &lowered.procs,
+                    instance,
+                    stats,
+                    &mut |jobs| run_inline(jobs, instance, ctx.governor, ctx.poison),
+                )?;
             }
             Err(e) => return Err(e),
         }
@@ -753,6 +795,7 @@ fn run_stratum<'a>(
                     rule_ix,
                     proc: &procs[rule_ix],
                     window: None,
+                    memo: None,
                 });
             }
         }
@@ -807,9 +850,17 @@ struct ComponentState<'a, 'c> {
 /// Semi-naive fixpoints of the recursive components of one level, advanced in
 /// lock-step, mirroring [`Engine::eval_rule_set`] per component but with each
 /// round pooling every active component's rule variants — split over disjoint
-/// delta shards — into one parallel fan-out.  The components never read each
-/// other's relations (they share a level), so lock-step rounds derive exactly
-/// what sequential per-component fixpoints would.
+/// delta shards when the run has more than one thread — into one parallel
+/// fan-out.  The components never read each other's relations (they share a
+/// level), so lock-step rounds derive exactly what sequential per-component
+/// fixpoints would.
+///
+/// Each rule owns one [`EmitMemo`] for the whole group, as in the engine's
+/// fixpoint: the rule's first job of a round carries it and the merge hands
+/// it back, so a duplicate derived rounds later costs one probe.  The other
+/// jobs of the rule in that round (a second delta position, further shards)
+/// start from empty memos.  A round that fails to merge returns early and
+/// drops every memo with the group.
 #[allow(clippy::too_many_arguments)]
 fn fixpoint_group<'a, R: FnMut(Vec<Job<'a>>) -> Vec<JobOutcome>>(
     ctx: &RunCtx<'_>,
@@ -835,6 +886,8 @@ fn fixpoint_group<'a, R: FnMut(Vec<Job<'a>>) -> Vec<JobOutcome>>(
             active: true,
         })
         .collect();
+    // Indexed by stratum-relative rule index; only component rules are used.
+    let mut memos: Vec<EmitMemo> = procs.iter().map(|_| EmitMemo::new()).collect();
 
     let mut group_round = 0usize;
     while states.iter().any(|s| s.active) {
@@ -851,18 +904,19 @@ fn fixpoint_group<'a, R: FnMut(Vec<Job<'a>>) -> Vec<JobOutcome>>(
         {
             let guard = instance.read();
             for state in states.iter().filter(|s| s.active) {
-                if state.iteration == 0 {
-                    for &(rule_ix, proc) in &state.rules {
+                for &(rule_ix, proc) in &state.rules {
+                    // The first job of the rule takes its memo along.
+                    let mut memo = Some(std::mem::take(&mut memos[rule_ix]));
+                    if state.iteration == 0 {
                         jobs.push(Job {
                             id: jobs.len(),
                             rule_ix,
                             proc,
                             window: None,
+                            memo: memo.take(),
                         });
+                        continue;
                     }
-                    continue;
-                }
-                for &(rule_ix, proc) in &state.rules {
                     for &pos in &proc.delta_positions {
                         let relation = proc.plan.predicate_at(pos)?.pred.relation;
                         let hi = guard.relation(relation).map_or(0, Relation::len);
@@ -886,9 +940,14 @@ fn fixpoint_group<'a, R: FnMut(Vec<Job<'a>>) -> Vec<JobOutcome>>(
                                     lo: shard_lo,
                                     hi: shard_hi,
                                 }),
+                                memo: memo.take(),
                             });
                             shard_lo = shard_hi;
                         }
+                    }
+                    // No job this round (every delta empty): keep the memo.
+                    if let Some(memo) = memo {
+                        memos[rule_ix] = memo;
                     }
                 }
             }
@@ -910,7 +969,9 @@ fn fixpoint_group<'a, R: FnMut(Vec<Job<'a>>) -> Vec<JobOutcome>>(
                 .collect()
         };
         let outcomes = round(jobs);
-        merge(ctx.engine, instance, outcomes, stats, stratum)?;
+        for (rule_ix, memo) in merge(ctx.engine, instance, outcomes, stats, stratum)? {
+            memos[rule_ix] = memo;
+        }
         // A component keeps iterating exactly while its own relations grew;
         // growth is visible as a length past the pre-merge watermark.
         let guard = instance.read();
@@ -935,23 +996,27 @@ fn fixpoint_group<'a, R: FnMut(Vec<Job<'a>>) -> Vec<JobOutcome>>(
 /// per-rule profile: shard jobs fold into `stats.rules` in job order under the
 /// same lock, keyed by `(stratum, rule index)`, regardless of which worker ran
 /// them or when they finished.
+///
+/// Returns the emit memos the jobs carried, keyed by rule index — only once
+/// every fact of the round is in the instance, so each memo names only facts
+/// the instance holds.
 fn merge(
     engine: &Engine,
     instance: &RwLock<Instance>,
     mut outcomes: Vec<JobOutcome>,
     stats: &mut EvalStats,
     stratum: &Stratum,
-) -> Result<bool, EvalError> {
+) -> Result<Vec<(usize, EmitMemo)>, EvalError> {
     let _merge_span = seqdl_trace::span(|| "merge".to_string());
     // The stratum under construction: `drive` pushes its `StratumStats` entry
     // only after the stratum completes.
     let stratum_ix = stats.strata.len();
     outcomes.sort_by_key(|o| o.id);
     let mut guard = instance.write();
-    let mut grew = false;
+    let mut memos = Vec::new();
     for outcome in outcomes {
         let rule_ix = outcome.rule_ix;
-        let (mut facts, fire) = outcome.result?;
+        let (mut facts, fire, memo) = outcome.result?;
         stats.apply_rule_fire(
             stratum_ix,
             rule_ix,
@@ -960,9 +1025,10 @@ fn merge(
             outcome.wall,
             facts.len(),
         );
-        grew |= engine.absorb(&mut guard, &mut facts, stats)?;
+        engine.absorb(&mut guard, &mut facts, stats)?;
+        memos.extend(memo.map(|m| (rule_ix, m)));
     }
-    Ok(grew)
+    Ok(memos)
 }
 
 #[cfg(test)]
@@ -1176,6 +1242,14 @@ mod tests {
             max_shards: 0,
         };
         assert_eq!(tiny.size_for(5), 5);
+        // One thread never splits a window, whatever the base size.
+        let single = ShardPolicy::for_threads(1, 1);
+        assert_eq!(single.size_for(10_000), 10_000);
+        assert_eq!(
+            ShardPolicy::for_threads(128, 2).max_shards,
+            2 * SHARD_FANOUT
+        );
+        assert_eq!(Executor::new().with_threads(1).max_delta_shards(), 1);
     }
 
     #[test]
@@ -1226,12 +1300,46 @@ mod tests {
             .collect();
         let input = Instance::unary(rel("R"), paths);
         let sequential = Engine::new().run(&program, &input).unwrap();
-        for threads in [1usize, 4] {
-            let parallel = Executor::new()
+        for threads in [1usize, 2, 4] {
+            let (parallel, stats) = Executor::new()
                 .with_threads(threads)
-                .run(&program, &input)
+                .run_with_stats(&program, &input)
                 .unwrap();
             assert_eq!(sequential, parallel, "threads = {threads}");
+            // One thread fires each delta window whole; more threads split
+            // the 300-tuple delta into shards of at most 128.
+            let shards = stats.strata[0].shards;
+            if threads == 1 {
+                assert_eq!(shards, 1, "{stats:?}");
+            } else {
+                assert!(shards >= 2, "threads = {threads}: {stats:?}");
+            }
         }
+    }
+
+    #[test]
+    fn one_thread_keeps_one_emit_memo_per_rule_like_the_engine() {
+        // Reachability on a graph with cycles derives most T facts many
+        // times; a memo that lives for the whole fixpoint catches every
+        // duplicate an earlier round produced, exactly as the engine's does.
+        let program = parse_program(
+            "T(@x·@y) <- R(@x·@y).\nT(@x·@z) <- T(@x·@y), R(@y·@z).\nS($p) <- T($p).",
+        )
+        .unwrap();
+        let names: Vec<String> = (0..12).map(|i| format!("n{i}")).collect();
+        let edges: Vec<(&str, &str)> = (0..12)
+            .flat_map(|i| [(i, (i + 1) % 12), (i, (i + 5) % 12)])
+            .map(|(a, b)| (names[a].as_str(), names[b].as_str()))
+            .collect();
+        let input = graph_instance(&edges);
+        let (expected, engine) = Engine::new().run_with_stats(&program, &input).unwrap();
+        let (out, exec) = Executor::new()
+            .with_threads(1)
+            .run_with_stats(&program, &input)
+            .unwrap();
+        assert_eq!(expected, out);
+        assert!(engine.emit_memo_hits > 0, "{engine:?}");
+        assert_eq!(exec.emit_memo_hits, engine.emit_memo_hits);
+        assert_eq!(exec.rule_firings, engine.rule_firings);
     }
 }

@@ -4,8 +4,8 @@
 //! countdown and the chosen worker job panics inside the executor's
 //! `catch_unwind` region.  The tests prove the full robustness story — the
 //! panic poisons the run, surviving workers drain, and under
-//! [`RecoveryPolicy::Sequential`] the stratum retries on the single-threaded
-//! engine path and still produces an output identical to an uninjected run.
+//! [`RecoveryPolicy::Sequential`] the stratum retries inline on the driver
+//! thread and still produces an output identical to an uninjected run.
 #![cfg(feature = "fail-inject")]
 
 use seqdl_core::{path_of, rel, Fact, Instance};
@@ -45,11 +45,13 @@ fn injected_worker_panics_recover_or_surface() {
     let reference = Engine::new().run(&program, &input).unwrap();
 
     // Sequential recovery: the injected panic poisons the run, the stratum
-    // retries single-threaded, and the final instance is identical to the
-    // uninjected reference — at every thread count and at two different
-    // injection points.
+    // retries inline with fresh emit memos, and the final instance is
+    // identical to the uninjected reference — at every thread count and at
+    // three injection points: the first job, the first delta round, and the
+    // fourth delta round (k = 5: T's two full jobs, then one delta job per
+    // round), by when the recursive rule's memo holds three rounds of heads.
     for threads in [1usize, 2, 4] {
-        for k in [0usize, 2] {
+        for k in [0usize, 2, 5] {
             fail::arm(k);
             let out = Executor::new()
                 .with_threads(threads)

@@ -57,15 +57,17 @@ impl MagicProgram {
     /// The goal answers in `result`: the tuples of the answer relation that
     /// match the goal pattern, as a sorted set.
     pub fn answers(&self, result: &Instance) -> BTreeSet<Tuple> {
+        self.answer_rows(result).cloned().collect()
+    }
+
+    /// The goal answers in `result`, borrowed, in the answer relation's
+    /// insertion order.
+    pub fn answer_rows<'r>(&'r self, result: &'r Instance) -> impl Iterator<Item = &'r Tuple> {
         result
             .relation(self.answer)
-            .map(|rel| {
-                rel.iter()
-                    .filter(|t| goal_matches(&self.goal, t))
-                    .cloned()
-                    .collect()
-            })
-            .unwrap_or_default()
+            .into_iter()
+            .flat_map(|rel| rel.iter())
+            .filter(|t| goal_matches(&self.goal, t))
     }
 }
 

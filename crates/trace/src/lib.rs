@@ -10,7 +10,8 @@
 //!
 //! When a [`Session`] is active, each thread appends [`Event`]s to its own
 //! thread-local buffer (no locks on the record path); buffers drain into a
-//! global sink when a thread exits or the session [`finish`](Session::finish)es.
+//! global sink when a thread's outermost span closes, when the thread exits,
+//! or when the session [`finish`](Session::finish)es.
 //! Thread ids are small process-local ordinals assigned at a thread's first
 //! event, and timestamps are microseconds from a process-wide monotonic epoch,
 //! so per-thread event order is meaningful.
@@ -88,6 +89,8 @@ pub struct Event {
 struct ThreadBuf {
     tid: u32,
     events: Vec<Event>,
+    /// Spans open on this thread.
+    depth: u32,
 }
 
 impl Drop for ThreadBuf {
@@ -102,6 +105,7 @@ thread_local! {
     static BUF: RefCell<ThreadBuf> = RefCell::new(ThreadBuf {
         tid: NEXT_TID.fetch_add(1, Ordering::Relaxed),
         events: Vec::new(),
+        depth: 0,
     });
 }
 
@@ -134,6 +138,21 @@ fn record(kind: EventKind, name: String, value: u64) {
         let mut b = b.borrow_mut();
         let tid = b.tid;
         b.events.push(Event { tid, ..event });
+        match kind {
+            EventKind::Begin => b.depth += 1,
+            EventKind::End => {
+                b.depth = b.depth.saturating_sub(1);
+                // The thread's outermost span closed: hand its events to the
+                // sink now.  A scoped worker's thread-local destructor may run
+                // only after the scope has returned, so flushing on exit alone
+                // could miss a session that finishes right after the join.
+                if b.depth == 0 {
+                    let mut events = std::mem::take(&mut b.events);
+                    lock(&SINK).append(&mut events);
+                }
+            }
+            EventKind::Counter | EventKind::Instant => {}
+        }
     });
 }
 
@@ -159,10 +178,10 @@ impl Session {
     /// Stop recording and return every event of this session, stably ordered
     /// by timestamp (per-thread relative order is preserved).
     ///
-    /// Threads that exited before this call (e.g. a scoped worker pool)
-    /// flushed their buffers on exit; the calling thread's buffer is flushed
-    /// here.  A thread still running concurrently may lose its tail events —
-    /// the callers in this workspace all join their workers first.
+    /// Other threads flushed their buffers when their outermost span closed
+    /// (or on exit); the calling thread's buffer is flushed here.  A thread
+    /// still running concurrently may lose its tail events — the callers in
+    /// this workspace all join their workers first.
     #[must_use]
     pub fn finish(self) -> Vec<Event> {
         ENABLED.store(false, Ordering::Relaxed);
